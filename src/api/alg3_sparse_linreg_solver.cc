@@ -12,6 +12,7 @@
 #include "dp/accountant.h"
 #include "linalg/projections.h"
 #include "losses/squared_loss.h"
+#include "robust/shrinkage.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -49,11 +50,11 @@ class Alg3SparseLinRegSolver final : public Solver {
     HTDP_RETURN_IF_ERROR(CheckSparsityWithinDim(sparsity, data.dim()));
     HTDP_RETURN_IF_ERROR(CheckFoldsFitSamples(iterations, data.size()));
 
-    // Step 2: entrywise shrinkage.
-    const Dataset shrunken = ShrinkDataset(data, shrinkage);
-
+    // Step 2 (entrywise shrinkage) is streamed: each fold is read exactly
+    // once, so every row is shrunk into a workspace buffer as it is read
+    // instead of into a shrunken copy of the dataset.
     const std::vector<DatasetView> folds =
-        SplitIntoFolds(shrunken, static_cast<std::size_t>(iterations));
+        SplitIntoFolds(data, static_cast<std::size_t>(iterations));
 
     // Each Peeling call touches its own disjoint fold, so every iteration
     // spends the full budget (parallel composition): a single release is
@@ -72,9 +73,12 @@ class Alg3SparseLinRegSolver final : public Solver {
     const std::size_t d = data.dim();
     const double k2 = shrinkage * shrinkage;
     result.ledger.Reserve(static_cast<std::size_t>(iterations));
+    result.selected.reserve(sparsity);  // the last iteration copies into it
     SolverWorkspace ws;
     Vector& grad = ws.robust_grad;
     grad.assign(d, 0.0);
+    ws.row.assign(d, 0.0);
+    double* row = ws.row.data();
     for (int t = 0; t < iterations; ++t) {
       if (StopRequested(resolved)) return CancelledStatus(*this);
       HTDP_TRACE_SPAN("alg3.iteration");
@@ -84,9 +88,9 @@ class Alg3SparseLinRegSolver final : public Solver {
       // w_{t+0.5} = w_t - (eta0/m) sum_i x~_i (<x~_i, w_t> - y~_i).
       SetZero(grad);
       for (std::size_t i = 0; i < m; ++i) {
-        const double* row = fold.Row(i);
-        const double residual =
-            Dot(row, result.w.data(), d) - fold.Label(i);
+        ShrinkRow(fold.Row(i), d, shrinkage, row);
+        const double residual = Dot(row, result.w.data(), d) -
+                                Shrink(fold.Label(i), shrinkage);
         AxpyKernel(residual, row, grad.data(), d);
       }
       ws.w_half = result.w;
@@ -102,13 +106,13 @@ class Alg3SparseLinRegSolver final : public Solver {
           2.0 * k2 * step *
           (std::sqrt(static_cast<double>(sparsity)) + 1.0) /
           static_cast<double>(m);
-      const PeelingResult peeled =
-          Peel(w_half, peeling, rng, &result.ledger, /*fold=*/t);
+      PeelInto(w_half, peeling, rng, &ws.peeled, &result.ledger,
+               /*fold=*/t);
 
       // Step 7: project onto the unit l2 ball.
-      result.w = peeled.value;
+      result.w = ws.peeled.value;
       if (t + 1 == iterations) {
-        result.selected = peeled.selected;  // final iteration's support
+        result.selected = ws.peeled.selected;  // final iteration's support
       }
       ProjectOntoL2Ball(1.0, result.w);
 

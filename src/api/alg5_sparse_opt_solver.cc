@@ -60,6 +60,7 @@ class Alg5SparseOptSolver final : public Solver {
     result.ledger.SetAccounting(resolved.accounting, resolved.budget.delta);
 
     result.ledger.Reserve(static_cast<std::size_t>(iterations));
+    result.selected.reserve(sparsity);  // the last iteration copies into it
     SolverWorkspace ws;
     for (int t = 0; t < iterations; ++t) {
       if (StopRequested(resolved)) return CancelledStatus(*this);
@@ -80,11 +81,11 @@ class Alg5SparseOptSolver final : public Solver {
       peeling.delta = release.delta;
       peeling.linf_sensitivity = 4.0 * std::sqrt(2.0) * scale * step /
                                  static_cast<double>(m);
-      const PeelingResult peeled =
-          Peel(ws.w_half, peeling, rng, &result.ledger, /*fold=*/t);
-      result.w = peeled.value;
+      PeelInto(ws.w_half, peeling, rng, &ws.peeled, &result.ledger,
+               /*fold=*/t);
+      result.w = ws.peeled.value;
       if (t + 1 == iterations) {
-        result.selected = peeled.selected;  // final iteration's support
+        result.selected = ws.peeled.selected;  // final iteration's support
       }
 
       if (resolved.record_risk_trace) {

@@ -87,10 +87,6 @@ StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(
       SplitIntoFolds(data, static_cast<std::size_t>(resolved.iterations))};
 }
 
-Dataset ShrinkDataset(const Dataset& data, double threshold) {
-  return ShrinkDataset(FullView(data), threshold);
-}
-
 Dataset ShrinkDataset(const DatasetView& view, double threshold) {
   Dataset shrunken;
   shrunken.x = view.data->x.RowSlice(view.begin, view.end);

@@ -7,6 +7,7 @@
 #include "api/problem.h"
 #include "api/solver.h"
 #include "api/solver_spec.h"
+#include "core/peeling.h"
 #include "core/robust_gradient.h"
 #include "data/dataset.h"
 #include "util/status.h"
@@ -31,6 +32,8 @@ struct SolverWorkspace {
   Vector robust_grad;                // g~(w, fold)
   Vector scores;                     // exponential-mechanism vertex scores
   Vector w_half;                     // pre-Peeling half step (IHT solvers)
+  Vector row;                        // one shrunken sample (alg3 streaming)
+  PeelingResult peeled;              // Peeling release (IHT solvers)
   Vector noise;                      // vector noise fills (FillNormal path)
 };
 
@@ -65,9 +68,11 @@ StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(const DatasetView& data,
                                                    const SolverSpec& resolved);
 
 /// Entrywise shrinkage x~ = sign(x) min(|x|, K) of features and labels
-/// (step 2 of Algorithms 2 and 3). The view overload copies only the
-/// view's rows, so prefix fits shrink exactly the samples they train on.
-Dataset ShrinkDataset(const Dataset& data, double threshold);
+/// (step 2 of Algorithms 2 and 3), copying only the view's rows so prefix
+/// fits shrink exactly the samples they train on. Copy shrunken data only
+/// when it is read more than once (alg2 reads it every iteration); a
+/// solver that reads each row once (alg3's disjoint folds) streams it
+/// through ShrinkRow instead and allocates nothing per sample.
 Dataset ShrinkDataset(const DatasetView& view, double threshold);
 
 /// True when the spec's cooperative-stop hook requests termination; the

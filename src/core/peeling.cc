@@ -11,6 +11,13 @@ namespace htdp {
 
 PeelingResult Peel(const Vector& v, const PeelingOptions& options, Rng& rng,
                    PrivacyLedger* ledger, int fold) {
+  PeelingResult result;
+  PeelInto(v, options, rng, &result, ledger, fold);
+  return result;
+}
+
+void PeelInto(const Vector& v, const PeelingOptions& options, Rng& rng,
+              PeelingResult* result, PrivacyLedger* ledger, int fold) {
   HTDP_CHECK_GT(options.sparsity, 0u);
   HTDP_CHECK_LE(options.sparsity, v.size());
   HTDP_CHECK_GT(options.epsilon, 0.0);
@@ -25,11 +32,13 @@ PeelingResult Peel(const Vector& v, const PeelingOptions& options, Rng& rng,
       std::sqrt(3.0 * static_cast<double>(s) * std::log(1.0 / options.delta)) /
       options.epsilon;
 
-  PeelingResult result;
-  result.noise_scale = noise_scale;
-  result.selected.reserve(s);
-
-  std::vector<bool> taken(d, false);
+  result->noise_scale = noise_scale;
+  result->selected.clear();
+  result->selected.reserve(s);
+  // Until the release below, a non-zero entry of `value` marks a taken
+  // coordinate; every taken entry is then overwritten and the rest stay 0.
+  Vector& value = result->value;
+  value.assign(d, 0.0);
   for (std::size_t round = 0; round < s; ++round) {
     // Fresh noise on every coordinate each round, exactly as in the
     // pseudocode (w_i ~ Lap(noise_scale)^d).
@@ -37,26 +46,24 @@ PeelingResult Peel(const Vector& v, const PeelingOptions& options, Rng& rng,
     double best_value = -1e300;
     for (std::size_t j = 0; j < d; ++j) {
       const double noisy = std::abs(v[j]) + SampleLaplace(rng, noise_scale);
-      if (!taken[j] && noisy > best_value) {
+      if (value[j] == 0.0 && noisy > best_value) {
         best_value = noisy;
         best = j;
       }
     }
     HTDP_CHECK_LT(best, d);
-    taken[best] = true;
-    result.selected.push_back(best);
+    value[best] = 1.0;
+    result->selected.push_back(best);
   }
 
-  result.value.assign(d, 0.0);
-  for (std::size_t j : result.selected) {
-    result.value[j] = v[j] + SampleLaplace(rng, noise_scale);
+  for (std::size_t j : result->selected) {
+    value[j] = v[j] + SampleLaplace(rng, noise_scale);
   }
 
   if (ledger != nullptr) {
     ledger->Record({"laplace-peeling", options.epsilon, options.delta,
                     options.linf_sensitivity, fold});
   }
-  return result;
 }
 
 }  // namespace htdp

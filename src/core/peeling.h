@@ -40,6 +40,13 @@ struct PeelingResult {
 PeelingResult Peel(const Vector& v, const PeelingOptions& options, Rng& rng,
                    PrivacyLedger* ledger = nullptr, int fold = -1);
 
+/// Peel() into `*result`, reusing its buffers: the same draws and the same
+/// bits, and no heap allocation once the buffers have grown, so a fit loop
+/// that keeps one PeelingResult allocates nothing per iteration.
+void PeelInto(const Vector& v, const PeelingOptions& options, Rng& rng,
+              PeelingResult* result, PrivacyLedger* ledger = nullptr,
+              int fold = -1);
+
 }  // namespace htdp
 
 #endif  // HTDP_CORE_PEELING_H_

@@ -10,6 +10,23 @@
 
 namespace htdp {
 
+namespace {
+
+// Column blocks start on multiples of this many doubles: the AVX-512 lane
+// count, a multiple of AVX2's 4 and a divisor of the robust-mean kernel's
+// 256-element stack block. Every coordinate then falls in the same lane
+// group -- and so takes the same closed-form/spill branch -- as in a
+// full-row call, which is what keeps the column path bit-identical.
+constexpr std::size_t kLaneBlock = 8;
+
+// Below these sizes a fold is not worth splitting by columns: each extra
+// block recomputes the row's O(d) gradient scale, and the per-task work
+// must dwarf the pool dispatch.
+constexpr std::size_t kColumnMinElements = 32768;
+constexpr std::size_t kColumnMinDim = 8 * kLaneBlock;
+
+}  // namespace
+
 RobustGradientEstimator::RobustGradientEstimator(double scale, double beta,
                                                  SimdMode simd)
     : estimator_(scale, beta, simd) {}
@@ -32,10 +49,22 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
 
   // Per-chunk accumulators keep the parallel reduction race-free and the
   // summation order deterministic for a fixed thread configuration.
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(static_cast<std::size_t>(NumWorkerThreads()),
-                               (m + 511) / 512));
+  const std::size_t workers = static_cast<std::size_t>(NumWorkerThreads());
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min<std::size_t>(workers, (m + 511) / 512));
   const std::size_t chunk_size = (m + chunks - 1) / chunks;
+
+  // A fold with fewer row chunks than workers (alg1's ~500-row folds) would
+  // leave cores idle, so on the GLM path each chunk's coordinates are also
+  // split into lane-aligned column blocks. Every coordinate still sums the
+  // same rows in the same order, so the blocks never move a bit.
+  std::size_t block_width = d;
+  if (glm && chunks < workers && m * d >= kColumnMinElements &&
+      d >= kColumnMinDim) {
+    const std::size_t per_worker = (d + workers - 1) / workers;
+    block_width = (per_worker + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
+  }
+  const std::size_t blocks = (d + block_width - 1) / block_width;
 
   RobustGradientWorkspace local;
   RobustGradientWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -46,13 +75,17 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
     if (ws.row_buffers[c].size() < d) ws.row_buffers[c].resize(d);
   }
 
-  // Each chunk is an expensive unit (hundreds of samples x d coordinates of
-  // erfc/exp-heavy math), so dispatch to the pool from two chunks up.
+  // Each (chunk, column block) task is an expensive unit (hundreds of
+  // samples x a slice of erfc/exp-heavy math), so dispatch to the pool from
+  // two tasks up. Tasks of one chunk write disjoint slices of its buffers.
   ParallelFor(
-      chunks,
-      [&](std::size_t c_begin, std::size_t c_end) {
-        for (std::size_t c = c_begin; c < c_end; ++c) {
-          Vector& acc = ws.partials[c];
+      chunks * blocks,
+      [&](std::size_t t_begin, std::size_t t_end) {
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          const std::size_t c = t / blocks;
+          const std::size_t j0 = (t % blocks) * block_width;
+          const std::size_t width = std::min(block_width, d - j0);
+          double* acc = ws.partials[c].data() + j0;
           Vector& row_buf = ws.row_buffers[c];
           const std::size_t lo = c * chunk_size;
           const std::size_t hi = std::min(lo + chunk_size, m);
@@ -62,15 +95,16 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
               HTDP_CHECK(loss.GradientAsScaledFeature(view.Row(i),
                                                       view.Label(i), w,
                                                       &scale));
-              // Fused row kernel: materialize the per-sample gradient row
-              // scale * x_i + ridge * w, then push the whole contiguous row
-              // through the batched Catoni kernel.
-              ScaledSumKernel(scale, view.Row(i), ridge, w.data(),
-                              row_buf.data(), d);
+              // Fused row kernel: materialize this block of the per-sample
+              // gradient row scale * x_i + ridge * w, then push it through
+              // the batched Catoni kernel.
+              ScaledSumKernel(scale, view.Row(i) + j0, ridge, w.data() + j0,
+                              row_buf.data() + j0, width);
             } else {
               loss.Gradient(view.Row(i), view.Label(i), w, row_buf);
             }
-            estimator_.AccumulateContributions(row_buf.data(), d, acc.data());
+            estimator_.AccumulateContributions(row_buf.data() + j0, width,
+                                               acc);
           }
         }
       },

@@ -14,7 +14,8 @@ namespace htdp {
 /// Reusable scratch for RobustGradientEstimator::Estimate: the per-chunk
 /// partial accumulators of the deterministic parallel reduction and one
 /// per-chunk row buffer (the fused scaled-feature row on the GLM path, the
-/// materialized per-sample gradient otherwise). Buffers grow on first use
+/// materialized per-sample gradient otherwise). The column blocks of one
+/// chunk write disjoint slices of that chunk's two buffers. Buffers grow on first use
 /// and are retained, so a fit loop that passes the same workspace every
 /// iteration performs no heap allocation after warm-up.
 struct RobustGradientWorkspace {
@@ -46,12 +47,17 @@ class RobustGradientEstimator {
   bool simd() const { return estimator_.simd(); }
 
   /// Computes g~(w, view) into `out` (resized to w.size()). Uses the fused
-  /// batched GLM row kernel of `loss` when available; thread-parallel over
-  /// sample chunks with a deterministic reduction order that depends only on
-  /// (view.size(), NumWorkerThreads()), never on scheduling. Pass a
-  /// `workspace` owned by the fit loop to reuse the reduction buffers across
-  /// iterations (zero allocations after warm-up); with the default nullptr a
-  /// call-local workspace is used.
+  /// batched GLM row kernel of `loss` when available. Thread-parallel over
+  /// row chunks of up to 512 samples, at most NumWorkerThreads() of them,
+  /// whose partial sums are added in chunk order: the output bits depend
+  /// only on (view.size(), NumWorkerThreads()) through those row chunks,
+  /// never on scheduling. When a GLM fold has fewer chunks than workers and
+  /// enough work, each chunk is further split into lane-aligned column
+  /// blocks (multiples of 8 coordinates) that run in parallel; a column
+  /// block computes every coordinate exactly as the full row would, so the
+  /// blocks never move a bit. Pass a `workspace` owned by the fit loop to
+  /// reuse the reduction buffers across iterations (zero allocations after
+  /// warm-up); with the default nullptr a call-local workspace is used.
   void Estimate(const Loss& loss, const DatasetView& view, const Vector& w,
                 Vector& out, RobustGradientWorkspace* workspace = nullptr)
       const;

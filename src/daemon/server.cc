@@ -40,6 +40,12 @@ StatusOr<TenantConfig> ParseTenantFlag(const std::string& value) {
 Server::Server(ServerOptions options) : options_(std::move(options)) {}
 
 StatusOr<std::unique_ptr<Server>> Server::Create(ServerOptions options) {
+  if (options.max_payload_bytes < kMinPayloadBytes) {
+    return Status::InvalidProblem(
+        "max_payload_bytes " +
+        std::to_string(options.max_payload_bytes) + " is below the floor of " +
+        std::to_string(kMinPayloadBytes) + " bytes");
+  }
   std::unique_ptr<Server> server(new Server(std::move(options)));
 
   // The ledger store opens (and recovers) BEFORE tenants register, so the
@@ -533,6 +539,21 @@ void Server::FinishJob(std::uint64_t id) {
 void Server::SendFrame(int fd, net::FrameType type,
                        const net::WireWriter& writer) {
   HTDP_TRACE_SPAN("daemon.write");
+  const std::size_t size = writer.bytes().size();
+  if (size > options_.max_payload_bytes) {
+    // A reply the frame limit cannot carry (a Chrome trace of a large span
+    // ring, say) is answered with a typed error and the daemon keeps
+    // serving. That error is short, and Create's kMinPayloadBytes floor
+    // guarantees it fits, so the recursion ends after one step.
+    SendError(fd,
+              Status::InvalidProblem(
+                  std::string("htdpd: ") + net::FrameTypeName(type) +
+                  " reply of " + std::to_string(size) +
+                  " bytes exceeds the frame payload limit of " +
+                  std::to_string(options_.max_payload_bytes) + " bytes"),
+              0);
+    return;
+  }
   std::vector<std::uint8_t> frame =
       net::EncodeFrame(type, writer.bytes(), options_.max_payload_bytes);
   loop_->Send(fd, frame.data(), frame.size());
@@ -573,10 +594,13 @@ void Server::SendResultFrames(int fd, std::uint64_t id, const Job& job) {
   net::WireWriter body;
   EncodeFitResult(body, job.handle.Wait().value());
   const std::vector<std::uint8_t>& bytes = body.bytes();
+  // Half the payload limit leaves ample room for the chunk header, so a
+  // daemon run with a small frame limit still streams whole results.
+  const std::size_t chunk_bytes =
+      std::min(net::kResultChunkBytes, options_.max_payload_bytes / 2);
   std::size_t offset = 0;
   do {
-    const std::size_t take =
-        std::min(net::kResultChunkBytes, bytes.size() - offset);
+    const std::size_t take = std::min(chunk_bytes, bytes.size() - offset);
     net::ResultChunk chunk;
     chunk.job_id = id;
     chunk.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),

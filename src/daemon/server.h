@@ -2,6 +2,7 @@
 #define HTDP_DAEMON_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -44,6 +45,11 @@ struct TenantConfig {
   PrivacyBudget budget;
 };
 
+/// The smallest frame payload limit Server::Create accepts: every ERROR
+/// frame the daemon itself composes fits under it, so an oversized reply
+/// can always be refused with a typed error.
+inline constexpr std::size_t kMinPayloadBytes = 1024;
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = kernel-assigned; read back with port()
@@ -51,6 +57,9 @@ struct ServerOptions {
   /// Idle connections are closed after this long; <= 0 disables. Parked
   /// waits (deliver-polls and streamed jobs) are exempt while in flight.
   double idle_timeout_seconds = 300.0;
+  /// Frame payload limit for both directions (at least kMinPayloadBytes).
+  /// A reply larger than this is answered with an ERROR frame (wire code
+  /// 1) naming the limit; the connection stays open.
   std::size_t max_payload_bytes = net::kDefaultMaxPayloadBytes;
   std::vector<TenantConfig> tenants;
   /// Completed jobs kept around for late POLLs; the oldest are evicted

@@ -1,16 +1,8 @@
 #include "robust/shrinkage.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.h"
 
 namespace htdp {
-
-double Shrink(double value, double threshold) {
-  HTDP_DCHECK(threshold > 0.0);
-  return std::copysign(std::min(std::abs(value), threshold), value);
-}
 
 void ShrinkInPlace(double threshold, Vector& v) {
   HTDP_CHECK_GT(threshold, 0.0);

@@ -1,6 +1,7 @@
 // Zero-allocation guards for the hot loops: after the first (warm-up)
-// iterations, the alg1 fit loop and the workspace-backed robust gradient
-// estimate must perform no heap allocation at all. Counted by overriding the
+// iterations, the alg1 and alg3 fit loops and the workspace-backed robust
+// gradient estimate (row chunks and column blocks) must perform no heap
+// allocation at all. Counted by overriding the
 // global allocation functions for this test binary.
 
 #include <atomic>
@@ -53,6 +54,41 @@ Dataset MakeData(std::size_t n, std::size_t d, Rng& rng) {
   return GenerateLinear(config, w_star, rng);
 }
 
+constexpr int kIterations = 8;
+// Allocation counter snapshot after each iteration, captured through the
+// observer. Fixed-size storage: the capture itself must not allocate.
+std::size_t iteration_counts[kIterations + 1];
+int iteration_events = 0;
+
+// Fits `problem` for kIterations iterations and expects the fit loop to be
+// allocation-free from iteration 3 on. Iteration 1 warms the workspace
+// (and, on multi-core machines, starts the worker pool); iteration 2 may
+// still touch a lazily-grown buffer.
+void ExpectFitLoopAllocatesNothingAfterWarmup(const char* solver_name,
+                                              const Problem& problem,
+                                              SolverSpec spec) {
+  iteration_events = 0;
+  spec.iterations = kIterations;
+  spec.observer = [](const IterationEvent& event) {
+    if (event.iteration <= kIterations) {
+      iteration_counts[event.iteration] =
+          g_allocations.load(std::memory_order_relaxed);
+      ++iteration_events;
+    }
+  };
+
+  const std::unique_ptr<Solver> solver =
+      SolverRegistry::Global().Create(solver_name);
+  Rng rng(5);
+  const FitResult result = solver->Fit(problem, spec, rng);
+  ASSERT_EQ(result.iterations, kIterations);
+  ASSERT_EQ(iteration_events, kIterations);
+  for (int t = 3; t <= kIterations; ++t) {
+    EXPECT_EQ(iteration_counts[t] - iteration_counts[t - 1], 0u)
+        << solver_name << " iteration " << t << " allocated";
+  }
+}
+
 TEST(ZeroAllocationTest, Alg1IterationsAllocateNothingAfterWarmup) {
   Rng data_rng(17);
   const std::size_t n = 640;
@@ -60,41 +96,27 @@ TEST(ZeroAllocationTest, Alg1IterationsAllocateNothingAfterWarmup) {
   const Dataset data = MakeData(n, d, data_rng);
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  const Problem problem = Problem::ConstrainedErm(loss, data, ball);
-
-  constexpr int kIterations = 8;
-  // Allocation counter snapshot after each iteration, captured through the
-  // observer. Fixed-size storage: the capture itself must not allocate.
-  static std::size_t counts[kIterations + 1];
-  static int events;
-  events = 0;
-
   SolverSpec spec;
   spec.budget = PrivacyBudget::Pure(1.0);
-  spec.iterations = kIterations;
   spec.scale = 5.0;
   spec.tau = 4.0;
-  spec.observer = [](const IterationEvent& event) {
-    if (event.iteration <= kIterations) {
-      counts[event.iteration] = g_allocations.load(std::memory_order_relaxed);
-      ++events;
-    }
-  };
+  ExpectFitLoopAllocatesNothingAfterWarmup(
+      kSolverAlg1DpFw, Problem::ConstrainedErm(loss, data, ball), spec);
+}
 
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg1DpFw);
-  Rng rng(5);
-  const FitResult result = solver->Fit(problem, spec, rng);
-  ASSERT_EQ(result.iterations, kIterations);
-  ASSERT_EQ(events, kIterations);
-
-  // Iteration 1 warms the workspace (and, on multi-core machines, starts
-  // the worker pool); iteration 2 may still touch a lazily-grown buffer.
-  // From then on the loop must be allocation-free.
-  for (int t = 3; t <= kIterations; ++t) {
-    EXPECT_EQ(counts[t] - counts[t - 1], 0u)
-        << "iteration " << t << " allocated";
-  }
+TEST(ZeroAllocationTest, Alg3IterationsAllocateNothingAfterWarmup) {
+  // Alg. 3 shrinks each row into a workspace buffer as it reads it and
+  // peels into a reused result, so its loop allocates nothing per sample
+  // and nothing per iteration.
+  Rng data_rng(19);
+  const std::size_t n = 1600;
+  const std::size_t d = 64;
+  const Dataset data = MakeData(n, d, data_rng);
+  const SquaredLoss loss;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  ExpectFitLoopAllocatesNothingAfterWarmup(
+      kSolverAlg3SparseLinReg, Problem::SparseErm(loss, data, 4), spec);
 }
 
 TEST(ZeroAllocationTest, SimdBatchKernelsAllocateNothing) {
@@ -150,6 +172,30 @@ TEST(ZeroAllocationTest, WorkspaceEstimateAllocatesNothingWhenWarm) {
   }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "warm Estimate allocated";
+}
+
+TEST(ZeroAllocationTest, ColumnBlockEstimateAllocatesNothingWhenWarm) {
+  // alg1's fold shape in the benchmark: fewer rows than one 512-row chunk
+  // at d = 400, which the estimator splits into column blocks whenever
+  // more than one worker is configured (the suite runs with four).
+  Rng data_rng(31);
+  const std::size_t n = 476;
+  const std::size_t d = 400;
+  const Dataset data = MakeData(n, d, data_rng);
+  const SquaredLoss loss;
+  const RobustGradientEstimator estimator(5.0, 1.0);
+  const Vector w(d, 0.01);
+
+  RobustGradientWorkspace workspace;
+  Vector out;
+  estimator.Estimate(loss, FullView(data), w, out, &workspace);
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 5; ++round) {
+    estimator.Estimate(loss, FullView(data), w, out, &workspace);
+  }
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "warm column-block Estimate allocated";
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include <cmath>
 #include <cstddef>
+#include <memory>
 
+#include "api/solver_common.h"
+#include "api/solver_registry.h"
 #include "core/ht_sparse_linreg.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
 #include "linalg/sparse_ops.h"
+#include "optim/polytope.h"
 #include "rng/rng.h"
 #include "stats/metrics.h"
 
@@ -161,6 +165,51 @@ TEST(HtSparseLinRegTest, HeavyNoiseStillProducesBoundedIterate) {
   const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
+}
+
+TEST(HtSparseLinRegTest, StreamedShrinkageMatchesShrunkenCopyBitForBit) {
+  // Shrinkage is idempotent, so fitting the raw data (alg3 shrinks each row
+  // as it reads it; alg2 shrinks a copy) must give exactly the fit of the
+  // pre-shrunken data at the same resolved K. d = 200 keeps the Dot and
+  // Axpy kernels on their vector paths.
+  Rng data_rng(23);
+  const std::size_t d = 200;
+  const Vector w_star = HalfBallSparseTarget(d, 4, data_rng);
+  SyntheticConfig config;
+  config.n = 4000;
+  config.d = d;
+  config.feature_dist = ScalarDistribution::StudentT(3.0);
+  config.noise_dist = ScalarDistribution::Lognormal(0.0, 1.0);
+  const Dataset raw = GenerateLinear(config, w_star, data_rng);
+  const L1Ball ball(d, 1.0);
+
+  for (const char* name : {kSolverAlg3SparseLinReg, kSolverAlg2PrivateLasso}) {
+    const std::unique_ptr<Solver> solver =
+        SolverRegistry::Global().Create(name);
+    Problem problem;
+    problem.data = &raw;
+    problem.constraint = &ball;
+    problem.target_sparsity = 4;
+    SolverSpec spec;
+    spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+    Rng raw_rng(43);
+    const FitResult from_raw = solver->Fit(problem, spec, raw_rng);
+
+    const Dataset shrunken = ShrinkDataset(FullView(raw),
+                                           from_raw.shrinkage_used);
+    problem.data = &shrunken;
+    spec.shrinkage = from_raw.shrinkage_used;
+    Rng shrunken_rng(43);
+    const FitResult from_shrunken = solver->Fit(problem, spec, shrunken_rng);
+
+    EXPECT_EQ(from_raw.iterations, from_shrunken.iterations) << name;
+    EXPECT_EQ(from_raw.selected, from_shrunken.selected) << name;
+    ASSERT_EQ(from_raw.w.size(), d) << name;
+    for (std::size_t j = 0; j < d; ++j) {
+      ASSERT_EQ(from_raw.w[j], from_shrunken.w[j]) << name << " coordinate "
+                                                  << j;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <vector>
 
 #include "core/robust_gradient.h"
 #include "data/synthetic.h"
@@ -9,6 +12,7 @@
 #include "losses/squared_loss.h"
 #include "robust/robust_mean.h"
 #include "rng/rng.h"
+#include "util/parallel.h"
 
 namespace htdp {
 namespace {
@@ -242,6 +246,99 @@ TEST(RobustGradientTest, WorksWithMeanLoss) {
   // Gradient of E||x - w||^2 at w=0 is -2 E x = -1 per coordinate.
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_NEAR(robust[j], -1.0, 0.1);
+  }
+}
+
+// The row-chunk algorithm, written out in full: at most NumWorkerThreads()
+// chunks of up to 512 rows, each summing full-row contributions in row
+// order, then the partials added in chunk order and scaled by 1/m.
+// Estimate may schedule the work however it likes, but must reproduce
+// these bits exactly.
+Vector RowChunkReference(const RobustGradientEstimator& estimator,
+                         const Loss& loss, const DatasetView& view,
+                         const Vector& w) {
+  const std::size_t d = w.size();
+  const std::size_t m = view.size();
+  const std::size_t workers = static_cast<std::size_t>(NumWorkerThreads());
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min<std::size_t>(workers, (m + 511) / 512));
+  const std::size_t chunk_size = (m + chunks - 1) / chunks;
+  const RobustMeanEstimator mean(
+      estimator.scale(), estimator.beta(),
+      estimator.simd() ? SimdMode::kOn : SimdMode::kOff);
+  std::vector<Vector> partials(chunks, Vector(d, 0.0));
+  Vector row(d);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t hi = std::min((c + 1) * chunk_size, m);
+    for (std::size_t i = c * chunk_size; i < hi; ++i) {
+      double scale = 0.0;
+      if (loss.GradientAsScaledFeature(view.Row(i), view.Label(i), w,
+                                       &scale)) {
+        ScaledSumKernel(scale, view.Row(i), loss.RidgeCoefficient(), w.data(),
+                        row.data(), d);
+      } else {
+        loss.Gradient(view.Row(i), view.Label(i), w, row);
+      }
+      mean.AccumulateContributions(row.data(), d, partials[c].data());
+    }
+  }
+  Vector out(d, 0.0);
+  for (const Vector& partial : partials) Axpy(1.0, partial, out);
+  Scale(1.0 / static_cast<double>(m), out);
+  return out;
+}
+
+TEST(RobustGradientTest, ColumnBlocksAreBitIdenticalToRowChunks) {
+  // The suite runs with HTDP_NUM_THREADS=4, so the folds below with fewer
+  // than four row chunks and enough coordinates take the column-block path
+  // (e.g. d = 400, m = 476: alg1's fold shape in the benchmark) and the
+  // rest the plain row-chunk path; both must match the reference exactly.
+  const SquaredLoss squared;
+  const LogisticLoss ridge_logistic(0.05);
+  const MeanLoss mean_loss;  // no GLM fast path
+  const std::vector<const Loss*> losses = {&squared, &ridge_logistic,
+                                           &mean_loss};
+  for (const std::size_t d : {10u, 64u, 400u, 403u}) {
+    Rng rng(100 + d);
+    const std::size_t n = 2000;
+    SyntheticConfig config;
+    config.n = n;
+    config.d = d;
+    config.feature_dist = ScalarDistribution::Lognormal(0.0, 0.6);
+    const Vector w_star = MakeL1BallTarget(d, rng);
+    Dataset data = GenerateLinear(config, w_star, rng);
+    // Sparse exact zeros (tiny-b) and large entries (exact split) send some
+    // lane groups down the scalar spill and leave the rest on the vector
+    // path, so a misaligned column block would change bits.
+    for (std::size_t k = 0; k < data.x.data().size(); k += 89) {
+      data.x.data()[k] = 0.0;
+    }
+    for (std::size_t k = 3; k < data.x.data().size(); k += 997) {
+      data.x.data()[k] = 1e3;
+    }
+    Vector w(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      w[j] = j % 5 == 0 ? 0.0 : 0.01 * static_cast<double>(j % 9) - 0.03;
+    }
+    for (const std::size_t m : {80u, 476u, 1111u, 2000u}) {
+      const DatasetView view = PrefixView(data, m);
+      for (const SimdMode simd : {SimdMode::kOn, SimdMode::kOff}) {
+        const RobustGradientEstimator estimator(3.0, 2.0, simd);
+        for (const Loss* loss : losses) {
+          const Vector expected =
+              RowChunkReference(estimator, *loss, view, w);
+          Vector actual;
+          estimator.Estimate(*loss, view, w, actual);
+          ASSERT_EQ(actual.size(), d);
+          for (std::size_t j = 0; j < d; ++j) {
+            ASSERT_EQ(0, std::memcmp(&actual[j], &expected[j], sizeof(double)))
+                << loss->Name() << " d=" << d << " m=" << m
+                << " simd=" << estimator.simd() << " coordinate " << j << ": "
+                << actual[j] << " vs " << expected[j];
+          }
+        }
+      }
+    }
   }
 }
 

@@ -465,6 +465,46 @@ TEST(NetLoopback, MetricsRoundTripInAllFormats) {
   EXPECT_EQ(trace->body.rfind("{\"traceEvents\":[", 0), 0u) << trace->body;
 }
 
+TEST(NetLoopback, OversizedReplyIsATypedErrorAndTheDaemonKeepsServing) {
+  constexpr std::size_t kLimit = 4096;
+  daemon::ServerOptions options;
+  options.max_payload_bytes = kLimit;
+  TestServer server(std::move(options));
+  // The daemon runs in this process, so padding the global registry grows
+  // its METRICS reply past the frame limit.
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  for (int i = 0; registry.ToJson().size() <= 2 * kLimit; ++i) {
+    registry
+        .GetCounter("htdp_test_oversized_reply_padding_" + std::to_string(i),
+                    "padding that makes the METRICS reply oversized")
+        ->Increment();
+  }
+  auto client = server.Connect();
+
+  auto json = client->Metrics(net::MetricsFormat::kJson);
+  ASSERT_FALSE(json.ok());
+  EXPECT_EQ(json.status().code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(std::string(json.status().message()).find(std::to_string(kLimit)),
+            std::string::npos)
+      << json.status().message();
+
+  // The same connection keeps serving, results included.
+  net::SubmitRequest request = TestSubmit(23);
+  request.problem = TestProblem(/*n=*/60, /*d=*/4);
+  auto job = client->Submit(request);
+  ASSERT_TRUE(job.ok()) << job.status().message();
+  auto remote = client->WaitResult(job.value());
+  ASSERT_TRUE(remote.ok()) << remote.status().message();
+  EXPECT_EQ(remote.value().w, LocalFit(request).w);
+
+  // Below the floor every ERROR frame could itself be oversized.
+  daemon::ServerOptions tiny;
+  tiny.max_payload_bytes = daemon::kMinPayloadBytes - 1;
+  auto refused = daemon::Server::Create(std::move(tiny));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidProblem);
+}
+
 TEST(NetLoopback, MetricsRequestWithUnknownFormatIsATypedError) {
   TestServer server;
   auto client = server.Connect();
