@@ -75,12 +75,12 @@ inline const char* SimdTag() {
 /// schema tracked PR-over-PR:
 ///   { "bench": <name>, "git_rev": <rev>, "threads": <NumWorkerThreads()>,
 ///     "hw_cores": <hardware_concurrency>, "simd": <SimdTag()>,
-///     "simd_compiled": <widest ISA in the binary>,
+///     "simd_baseline": <compile-time baseline ISA>,
 ///     "records": [ { "name", "wall_seconds", "iterations_per_sec",
 ///                    "items_per_sec" }, ... ] }
-/// `simd` names the ISA the dispatcher picked at runtime; `simd_compiled`
-/// the widest table built into the binary, so a trajectory row shows both
-/// what could have run and what did. `hw_cores` pins the machine size
+/// `simd` names the ISA the dispatcher picked at runtime; `simd_baseline`
+/// the ISA the binary was compiled for, which everything outside the
+/// dispatched kernels runs at. `hw_cores` pins the machine size
 /// behind the `threads` worker setting (a 4-thread run on a 2-core box is
 /// not comparable to one on a 64-core box). Every bench binary emits
 /// BENCH_<suffix>.json next to its table output so CI can archive the
@@ -98,7 +98,7 @@ class BenchJsonWriter {
     std::fprintf(file,
                  "{\n  \"bench\": \"%s\",\n  \"git_rev\": \"%s\",\n"
                  "  \"threads\": %d,\n  \"hw_cores\": %u,\n"
-                 "  \"simd\": \"%s\",\n  \"simd_compiled\": \"%s\",\n"
+                 "  \"simd\": \"%s\",\n  \"simd_baseline\": \"%s\",\n"
                  "  \"records\": [",
                  Escaped(bench_name_).c_str(), Escaped(GitRevision()).c_str(),
                  NumWorkerThreads(), std::thread::hardware_concurrency(),

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/solver_common.h"
 #include "bench_common.h"
 #include "core/htdp.h"
 #include "daemon/server.h"
@@ -346,6 +347,53 @@ void BM_ShrinkDataset(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * d));
 }
 BENCHMARK(BM_ShrinkDataset)->Arg(100)->Arg(400);
+
+// alg2's gradient layer at the fit_batch shape (n = 15000, d = 400,
+// T = 47): the one pass that computes the shrunken second moments, against
+// one streamed squared-loss gradient over the shrunken copy, which the
+// streamed path runs T times per fit. Both run on the worker pool, hence
+// real time.
+Dataset Alg2BenchData(std::size_t n, std::size_t d) {
+  Rng rng(37);
+  SyntheticConfig config{n, d, ScalarDistribution::Lognormal(0.0, 0.6),
+                         ScalarDistribution::Normal(0.0, 0.1)};
+  const Vector w_star = MakeL1BallTarget(d, rng);
+  return GenerateLinear(config, w_star, rng);
+}
+
+void BM_ShrunkenMoments(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const Dataset data = Alg2BenchData(n, d);
+  for (auto _ : state) {
+    const SecondMoments moments = ShrunkenMoments(FullView(data), 3.0);
+    benchmark::DoNotOptimize(moments.xx.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * d));
+}
+BENCHMARK(BM_ShrunkenMoments)
+    ->Args({15000, 400})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_EmpiricalGradient(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const Dataset data = Alg2BenchData(n, d);
+  const Dataset shrunken = ShrinkDataset(FullView(data), 3.0);
+  const SquaredLoss loss;
+  const Vector w(d, 1.0 / static_cast<double>(d));
+  Vector grad;
+  for (auto _ : state) {
+    EmpiricalGradient(loss, FullView(shrunken), w, grad);
+    benchmark::DoNotOptimize(grad.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * d));
+}
+BENCHMARK(BM_EmpiricalGradient)
+    ->Args({15000, 400})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Engine throughput: end-to-end fit jobs/sec over a (concurrent jobs x
 // worker threads) grid -- 1/4/16 jobs against 1/2/4 workers. Each outer

@@ -43,10 +43,21 @@ class Alg2PrivateLassoSolver final : public Solver {
     const int iterations = resolved.iterations;
     const double shrinkage = resolved.shrinkage;
 
-    // Step 2: entrywise shrinkage of the training samples.
-    const Dataset shrunken = ShrinkDataset(data, shrinkage);
-
+    // Step 2: entrywise shrinkage of the training samples. Every step needs
+    // the exact squared-loss gradient on the shrunken data, which the
+    // shrunken second moments give in O(d^2) from one pass over the rows;
+    // outside UseShrunkenMoments each step streams a shrunken copy instead.
     const std::size_t n = data.size();
+    const bool use_moments = UseShrunkenMoments(n, data.dim(), iterations);
+    SecondMoments moments;
+    Dataset shrunken;
+    if (use_moments) {
+      HTDP_TRACE_SPAN("alg2.moments");
+      moments = ShrunkenMoments(data, shrinkage, resolved.simd);
+    } else {
+      shrunken = ShrinkDataset(data, shrinkage);
+    }
+
     const double k2 = shrinkage * shrinkage;
     const double vertex_norm = polytope.MaxVertexL1Norm();
     // |2 x~_j (<x~, w> - y~)| <= 2 K^2 (V + 1); replacing one sample moves
@@ -65,7 +76,6 @@ class Alg2PrivateLassoSolver final : public Solver {
     const double step_delta = step.delta;
 
     const SquaredLoss loss;
-    const DatasetView shrunken_view = FullView(shrunken);
 
     FitResult result;
     result.w = w0;
@@ -80,7 +90,12 @@ class Alg2PrivateLassoSolver final : public Solver {
       HTDP_TRACE_SPAN("alg2.iteration");
       // g~ = (2/n) sum_i x~_i (<x~_i, w> - y~_i), the exact gradient of the
       // squared loss on the shrunken data.
-      EmpiricalGradient(loss, shrunken_view, result.w, ws.robust_grad);
+      if (use_moments) {
+        MomentsGradient(moments, result.w, ws.robust_grad);
+      } else {
+        EmpiricalGradient(loss, FullView(shrunken), result.w,
+                          ws.robust_grad);
+      }
       polytope.VertexInnerProducts(ws.robust_grad, ws.scores);
       for (double& value : ws.scores) value = -value;
       const std::size_t pick =

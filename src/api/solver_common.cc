@@ -1,9 +1,13 @@
 #include "api/solver_common.h"
 
+#include <algorithm>
 #include <string>
 
 #include "robust/shrinkage.h"
 #include "util/check.h"
+#include "util/parallel.h"
+#include "util/simd.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 
@@ -95,6 +99,71 @@ Dataset ShrinkDataset(const DatasetView& view, double threshold) {
   ShrinkInPlace(threshold, shrunken.x);
   ShrinkInPlace(threshold, shrunken.y);
   return shrunken;
+}
+
+SecondMoments ShrunkenMoments(const DatasetView& view, double threshold,
+                              SimdMode simd) {
+  HTDP_CHECK_GT(view.size(), 0u);
+  const std::size_t n = view.size();
+  const std::size_t d = view.dim();
+  const bool use_simd = ResolveSimd(simd);
+  // EmpiricalGradient's row chunks: the partial layout, and so the bits,
+  // follow from (n, worker count) alone.
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min<std::size_t>(static_cast<std::size_t>(NumWorkerThreads()),
+                               (n + 511) / 512));
+  const std::size_t chunk_size = (n + chunks - 1) / chunks;
+  std::vector<Matrix> xx(chunks, Matrix(d, d));
+  std::vector<Vector> xy(chunks, Vector(d, 0.0));
+  std::vector<double> blocks(chunks * kRankUpdateRows * d);
+  ParallelFor(
+      chunks,
+      [&](std::size_t c_begin, std::size_t c_end) {
+        for (std::size_t c = c_begin; c < c_end; ++c) {
+          double* block = blocks.data() + c * kRankUpdateRows * d;
+          const std::size_t hi = std::min((c + 1) * chunk_size, n);
+          for (std::size_t lo = c * chunk_size; lo < hi;
+               lo += kRankUpdateRows) {
+            const std::size_t k = std::min(kRankUpdateRows, hi - lo);
+            for (std::size_t r = 0; r < k; ++r) {
+              double* row = block + r * d;
+              ShrinkRow(view.Row(lo + r), d, threshold, row);
+              AxpyKernel(Shrink(view.Label(lo + r), threshold), row,
+                         xy[c].data(), d);
+            }
+            RankUpdateUpper(block, k, d, xx[c].data().data(), use_simd);
+          }
+        }
+      },
+      /*min_parallel=*/2);
+
+  SecondMoments moments{std::move(xx[0]), std::move(xy[0])};
+  for (std::size_t c = 1; c < chunks; ++c) {
+    for (std::size_t j = 0; j < d; ++j) {
+      AxpyKernel(1.0, xx[c].Row(j) + j, moments.xx.Row(j) + j, d - j);
+    }
+    AxpyKernel(1.0, xy[c].data(), moments.xy.data(), d);
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t l = j; l < d; ++l) {
+      const double value = moments.xx(j, l) * inv_n;
+      moments.xx(j, l) = value;
+      moments.xx(l, j) = value;
+    }
+    moments.xy[j] *= inv_n;
+  }
+  return moments;
+}
+
+void MomentsGradient(const SecondMoments& moments, const Vector& w,
+                     Vector& grad) {
+  const std::size_t d = w.size();
+  HTDP_CHECK_EQ(moments.xy.size(), d);
+  grad.resize(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    grad[j] = 2.0 * (Dot(moments.xx.Row(j), w.data(), d) - moments.xy[j]);
+  }
 }
 
 Status CancelledStatus(const Solver& solver) {

@@ -10,6 +10,8 @@
 #include "core/peeling.h"
 #include "core/robust_gradient.h"
 #include "data/dataset.h"
+#include "linalg/matrix.h"
+#include "util/simd.h"
 #include "util/status.h"
 
 namespace htdp {
@@ -22,11 +24,10 @@ namespace htdp {
 
 /// Reusable per-fit scratch shared by the solver implementations: the
 /// iteration buffers live here, sized on first use and retained across
-/// iterations. Each Fit call owns one instance for its whole loop. For the
-/// alg1 hot loop this makes warm iterations completely allocation-free
-/// (pinned by tests/alloc_test.cc); the Peeling-based and LASSO solvers
-/// still allocate inside Peel() / EmpiricalGradient() each iteration --
-/// routing those through the workspace is the natural next step.
+/// iterations. Each Fit call owns one instance for its whole loop. With it
+/// the warm iterations of alg1, alg2 (on the second moments) and alg3 are
+/// allocation-free (pinned by tests/alloc_test.cc); alg2's streamed
+/// fallback still allocates EmpiricalGradient's per-chunk partials.
 struct SolverWorkspace {
   RobustGradientWorkspace gradient;  // robust-gradient reduction scratch
   Vector robust_grad;                // g~(w, fold)
@@ -70,10 +71,57 @@ StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(const DatasetView& data,
 /// Entrywise shrinkage x~ = sign(x) min(|x|, K) of features and labels
 /// (step 2 of Algorithms 2 and 3), copying only the view's rows so prefix
 /// fits shrink exactly the samples they train on. Copy shrunken data only
-/// when it is read more than once (alg2 reads it every iteration); a
-/// solver that reads each row once (alg3's disjoint folds) streams it
-/// through ShrinkRow instead and allocates nothing per sample.
+/// when it is read more than once (alg2 outside UseShrunkenMoments reads it
+/// every iteration); a solver that reads each row once (alg3's disjoint
+/// folds, alg2's moments pass) streams it through ShrinkRow instead.
 Dataset ShrinkDataset(const DatasetView& view, double threshold);
+
+/// The second moments of the entrywise-shrunken data: xx = (1/n) sum_i
+/// x~_i x~_i^T (d x d, symmetric) and xy = (1/n) sum_i y~_i x~_i. They fix
+/// the squared-loss gradient on the shrunken data at every w (see
+/// MomentsGradient).
+struct SecondMoments {
+  Matrix xx;
+  Vector xy;
+};
+
+/// One pass over the raw view: each row is shrunk (ShrinkRow, labels with
+/// Shrink) into a block of kRankUpdateRows rows, which feeds xy and the
+/// upper triangle of xx through the dispatched rank-k update (the scalar
+/// loop when `simd` resolves off). Rows are summed in the row chunks of
+/// EmpiricalGradient -- min(NumWorkerThreads(), ceil(n/512)) of them, one
+/// partial each, partials added in chunk order -- so the bits depend only
+/// on (n, d, worker count). xx is then mirrored and both are scaled by
+/// 1/n once. Allocates chunks * d^2 doubles.
+SecondMoments ShrunkenMoments(const DatasetView& view, double threshold,
+                              SimdMode simd = SimdMode::kAuto);
+
+/// grad = 2 (xx w - xy): the exact squared-loss gradient on the shrunken
+/// data in O(d^2), through the dispatched Dot. Equal in exact arithmetic to
+/// EmpiricalGradient(SquaredLoss) over the shrunken copy; the floating-point
+/// sums are reassociated.
+void MomentsGradient(const SecondMoments& moments, const Vector& w,
+                     Vector& grad);
+
+/// Largest d/T for which alg2 runs on the second moments. The moments cost
+/// n d^2 / 2 multiply-adds once; the streamed gradient costs 2 T n d per
+/// fit and is bound by memory bandwidth, so the break-even is a ratio d/T.
+/// Measured on a 4-vCPU AVX-512 Xeon (2 MiB L2 per core), alg2 fit medians
+/// streamed -> moments at 4 threads: 15000x400 (d/T 8.5) 264 -> 64 ms,
+/// 3000x300 (12) 17.2 -> 11.5 ms, 2000x300 (14.3) 10.3 -> 10.1 ms,
+/// 2000x400 (19) 11.8 -> 12.7 ms, 10000x800 (20) 273 -> 197 ms. The
+/// break-even is near 14 when the data fits in cache (near 11 at one
+/// thread) and above 20 when it comes from DRAM.
+inline constexpr std::size_t kMomentsMaxDimPerIteration = 12;
+
+/// True when alg2 computes its gradients from ShrunkenMoments rather than
+/// from a shrunken copy: d <= n keeps xx no larger than the copy it
+/// replaces, and d <= kMomentsMaxDimPerIteration * T keeps the one pass
+/// cheaper than T streamed ones.
+inline bool UseShrunkenMoments(std::size_t n, std::size_t d, int iterations) {
+  return d <= n && d <= kMomentsMaxDimPerIteration *
+                            static_cast<std::size_t>(iterations);
+}
 
 /// True when the spec's cooperative-stop hook requests termination; the
 /// solvers poll this at the top of every iteration and return kCancelled.

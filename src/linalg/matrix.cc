@@ -4,6 +4,7 @@
 
 #include "util/check.h"
 #include "util/parallel.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 
@@ -40,6 +41,28 @@ Matrix Matrix::RowSlice(std::size_t begin, std::size_t end) const {
     for (std::size_t c = 0; c < cols_; ++c) dst[c] = src[c];
   }
   return out;
+}
+
+void RankUpdateUpper(const double* HTDP_RESTRICT rows, std::size_t k,
+                     std::size_t d, double* HTDP_RESTRICT g, bool use_simd) {
+  HTDP_CHECK_LE(k, kRankUpdateRows);
+  if (k == 0) return;
+  if (use_simd) {
+    if (const SimdKernelTable* table = ActiveSimdKernels()) {
+      table->rank_update_upper(rows, k, d, g);
+      return;
+    }
+  }
+  for (std::size_t j = 0; j < d; ++j) {
+    double* gj = g + j * d;
+    for (std::size_t l = j; l < d; ++l) {
+      double sum = rows[j] * rows[l];
+      for (std::size_t r = 1; r < k; ++r) {
+        sum += rows[r * d + j] * rows[r * d + l];
+      }
+      gj[l] += sum;
+    }
+  }
 }
 
 }  // namespace htdp

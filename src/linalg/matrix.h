@@ -58,6 +58,15 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// Rank-k update (k <= kRankUpdateRows, util/simd_dispatch.h) of the upper
+/// triangle of the row-major d x d matrix g with the k x d row-major block
+/// `rows`: g(j, l) += sum_{r<k} rows(r, j) * rows(r, l) for l >= j; the
+/// lower triangle is not touched. Each entry sums its k products in r order
+/// and then adds the sum to g(j, l). That is elementwise in the output, so
+/// the dispatched tables (use_simd) and the scalar loop give the same bits.
+void RankUpdateUpper(const double* HTDP_RESTRICT rows, std::size_t k,
+                     std::size_t d, double* HTDP_RESTRICT g, bool use_simd);
+
 }  // namespace htdp
 
 #endif  // HTDP_LINALG_MATRIX_H_

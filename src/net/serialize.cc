@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "losses/biweight_loss.h"
@@ -14,12 +15,22 @@ namespace htdp {
 namespace net {
 namespace {
 
+/// The typed rejection of a NaN or infinite problem value. Like the shape
+/// checks, it is a curator-side precondition on a single record, outside
+/// the privacy accounting (see docs/protocol.md).
+Status NonFiniteValue(const char* what, std::size_t index) {
+  return Status::InvalidProblem(std::string("non-finite value in ") + what +
+                                " at index " + std::to_string(index));
+}
+
 /// Reads a run of `count` raw doubles into `out` after checking the bytes
-/// are actually present (no allocation driven by an unvalidated count).
+/// are actually present (no allocation driven by an unvalidated count), and
+/// rejects any NaN or infinity.
 Status ReadDoubles(WireReader& r, std::size_t count, double* out,
                    const char* what) {
   for (std::size_t i = 0; i < count; ++i) {
     HTDP_RETURN_IF_ERROR(r.F64(out + i, what));
+    if (!std::isfinite(out[i])) return NonFiniteValue(what, i);
   }
   return Status::Ok();
 }
@@ -68,6 +79,9 @@ Status DecodeWireProblem(WireReader& r, WireProblem* out) {
   HTDP_RETURN_IF_ERROR(
       r.U64(&out->target_sparsity, "problem.target_sparsity"));
   HTDP_RETURN_IF_ERROR(r.F64Vec(&out->w0, "problem.w0"));
+  for (std::size_t i = 0; i < out->w0.size(); ++i) {
+    if (!std::isfinite(out->w0[i])) return NonFiniteValue("problem.w0", i);
+  }
 
   std::uint64_t n = 0;
   std::uint64_t d = 0;

@@ -6,9 +6,10 @@
 /// Runtime SIMD ISA dispatch for the batch kernels.
 ///
 /// The hot-loop entry points -- the Catoni SmoothedPhi batch + transform,
-/// the Dot / DistanceL2 reductions, and the Gumbel noise transform of the
-/// exponential mechanism -- are compiled once per ISA into dedicated
-/// translation units (util/simd_kernels_base.cc at the binary's baseline,
+/// the Dot / DistanceL2 reductions, the Gumbel noise transform of the
+/// exponential mechanism and the rank-k update behind alg2's second
+/// moments -- are compiled once per ISA into dedicated translation units
+/// (util/simd_kernels_base.cc at the binary's baseline,
 /// plus util/simd_kernels_avx2.cc and util/simd_kernels_avx512.cc on
 /// x86-64, built with per-file -mavx2 / -mavx512f flags; see
 /// CMakeLists.txt). Each TU exports one `SimdKernelTable` of function
@@ -22,6 +23,8 @@
 ///    (-ffp-contract=off), and every kernel is either elementwise or
 ///    reduces in the same 4-lane order as the sse2 baseline, so its
 ///    results are BIT-IDENTICAL to the baseline table's;
+///  - the rank-k update is elementwise in its output and contraction-free,
+///    so it is bit-identical across all tables;
 ///  - the avx512f table runs 8 lanes: the Dot / DistanceL2 reductions
 ///    reassociate across a different lane partition and the SmoothedPhi
 ///    batch groups cold-spill / tail elements differently, both within the
@@ -37,6 +40,10 @@
 /// (tests use this to compare tables on one machine).
 
 namespace htdp {
+
+/// Block height the rank-k update is unrolled for: callers that stream
+/// rows through it (alg2's moments pass) fill blocks of this many rows.
+inline constexpr std::size_t kRankUpdateRows = 8;
 
 /// One ISA's batch kernels. All pointers are non-null in every exported
 /// table.
@@ -65,6 +72,15 @@ struct SimdKernelTable {
   /// noise[j] = -log(-log(u[j])) via LogPd lanes + scalar tail (elementwise:
   /// identical per element across lane widths).
   void (*gumbel_from_uniform)(const double* u, double* noise, std::size_t n);
+
+  /// Rank-k update (k <= kRankUpdateRows) of the upper triangle of the
+  /// row-major d x d matrix g with the k x d row-major block `rows`:
+  /// g[j*d + l] += sum_{r<k} rows[r*d + j] * rows[r*d + l] for l >= j, the
+  /// k products summed in r order before the add. Elementwise in the
+  /// output, so every table gives the same bits as RankUpdateUpper's scalar
+  /// loop (linalg/matrix.h). The lower triangle is not touched.
+  void (*rank_update_upper)(const double* rows, std::size_t k, std::size_t d,
+                            double* g);
 };
 
 /// The dispatched table: probed once (first call), then a relaxed atomic

@@ -190,11 +190,73 @@ void GumbelFromUniformKernel(const double* u, double* noise, std::size_t n) {
   for (; j < n; ++j) noise[j] = -std::log(-std::log(u[j]));
 }
 
+// Rank-k update of the upper triangle: one pass over g[j, j..d) per row j,
+// each lane summing the block's k products in r order before the add to g.
+// No cross-lane reduction, so every lane width gives the scalar loop's bits.
+// K > 0 fixes the block height at compile time (kRankUpdateRows, the full
+// blocks of alg2's moments pass), so the per-row coefficients stay in
+// registers; K == 0 reads it from k (the last, partial block).
+template <std::size_t K>
+void RankUpdateUpperRows(const double* rows, std::size_t k, std::size_t d,
+                         double* g) {
+  const std::size_t height = K > 0 ? K : k;
+  for (std::size_t j = 0; j < d; ++j) {
+    double* gj = g + j * d;
+    VecD coef[kRankUpdateRows];
+    for (std::size_t r = 0; r < height; ++r) {
+      coef[r] = simd::Set1(rows[r * d + j]);
+    }
+    std::size_t l = j;
+    // Four independent lane groups per pass keep the k-long add chains of
+    // neighbouring groups in flight together.
+    for (; l + 4 * kW <= d; l += 4 * kW) {
+      VecD sum0 = coef[0] * simd::LoadU(rows + l);
+      VecD sum1 = coef[0] * simd::LoadU(rows + l + kW);
+      VecD sum2 = coef[0] * simd::LoadU(rows + l + 2 * kW);
+      VecD sum3 = coef[0] * simd::LoadU(rows + l + 3 * kW);
+      for (std::size_t r = 1; r < height; ++r) {
+        const double* row = rows + r * d + l;
+        sum0 = sum0 + coef[r] * simd::LoadU(row);
+        sum1 = sum1 + coef[r] * simd::LoadU(row + kW);
+        sum2 = sum2 + coef[r] * simd::LoadU(row + 2 * kW);
+        sum3 = sum3 + coef[r] * simd::LoadU(row + 3 * kW);
+      }
+      simd::StoreU(gj + l, simd::LoadU(gj + l) + sum0);
+      simd::StoreU(gj + l + kW, simd::LoadU(gj + l + kW) + sum1);
+      simd::StoreU(gj + l + 2 * kW, simd::LoadU(gj + l + 2 * kW) + sum2);
+      simd::StoreU(gj + l + 3 * kW, simd::LoadU(gj + l + 3 * kW) + sum3);
+    }
+    for (; l + kW <= d; l += kW) {
+      VecD sum = coef[0] * simd::LoadU(rows + l);
+      for (std::size_t r = 1; r < height; ++r) {
+        sum = sum + coef[r] * simd::LoadU(rows + r * d + l);
+      }
+      simd::StoreU(gj + l, simd::LoadU(gj + l) + sum);
+    }
+    for (; l < d; ++l) {
+      double sum = rows[j] * rows[l];
+      for (std::size_t r = 1; r < height; ++r) {
+        sum += rows[r * d + j] * rows[r * d + l];
+      }
+      gj[l] += sum;
+    }
+  }
+}
+
+void RankUpdateUpperKernel(const double* rows, std::size_t k, std::size_t d,
+                           double* g) {
+  if (k == kRankUpdateRows) {
+    RankUpdateUpperRows<kRankUpdateRows>(rows, k, d, g);
+  } else if (k > 0) {
+    RankUpdateUpperRows<0>(rows, k, d, g);
+  }
+}
+
 const SimdKernelTable kTable = {
-    simd::kIsaName,         static_cast<int>(kW),
+    simd::kIsaName,          static_cast<int>(kW),
     &SmoothedPhiBatchKernel, &SmoothedPhiTransformKernel,
     &DotKernel,              &DistanceL2Kernel,
-    &GumbelFromUniformKernel};
+    &GumbelFromUniformKernel, &RankUpdateUpperKernel};
 
 }  // namespace HTDP_SIMD_ISA_NS
 }  // namespace simd_kernel_impl

@@ -1,14 +1,15 @@
 // Zero-allocation guards for the hot loops: after the first (warm-up)
-// iterations, the alg1 and alg3 fit loops and the workspace-backed robust
-// gradient estimate (row chunks and column blocks) must perform no heap
-// allocation at all. Counted by overriding the
-// global allocation functions for this test binary.
+// iterations, the alg1, alg2 and alg3 fit loops and the workspace-backed
+// robust gradient estimate (row chunks and column blocks) must perform no
+// heap allocation at all. Counted by overriding the global allocation
+// functions for this test binary.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 
+#include "api/solver_common.h"
 #include "core/htdp.h"
 #include "gtest/gtest.h"
 
@@ -117,6 +118,24 @@ TEST(ZeroAllocationTest, Alg3IterationsAllocateNothingAfterWarmup) {
   spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
   ExpectFitLoopAllocatesNothingAfterWarmup(
       kSolverAlg3SparseLinReg, Problem::SparseErm(loss, data, 4), spec);
+}
+
+TEST(ZeroAllocationTest, Alg2IterationsAllocateNothingAfterWarmup) {
+  // Alg. 2 computes the shrunken second moments once before its loop
+  // (d <= n and d <= kMomentsMaxDimPerIteration * T here); each step is
+  // then an O(d^2) product into the workspace gradient.
+  Rng data_rng(23);
+  const std::size_t n = 1600;
+  const std::size_t d = 64;
+  ASSERT_TRUE(UseShrunkenMoments(n, d, kIterations));
+  const Dataset data = MakeData(n, d, data_rng);
+  const SquaredLoss loss;
+  const L1Ball ball(d, 1.0);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  ExpectFitLoopAllocatesNothingAfterWarmup(
+      kSolverAlg2PrivateLasso, Problem::ConstrainedErm(loss, data, ball),
+      spec);
 }
 
 TEST(ZeroAllocationTest, SimdBatchKernelsAllocateNothing) {

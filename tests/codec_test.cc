@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "net/serialize.h"
@@ -547,6 +548,44 @@ TEST(Serialize, UnknownLossAndBadEnumAreTypedErrors) {
   WireReader r(w.bytes());
   WireProblem out;
   EXPECT_EQ(DecodeWireProblem(r, &out).code(), StatusCode::kInvalidProblem);
+}
+
+TEST(Serialize, NonFiniteProblemValuesAreTypedErrors) {
+  // One NaN or infinity anywhere in the features, labels or w0 rejects the
+  // SUBMIT at decode time with kInvalidProblem naming the field.
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  const char* fields[] = {"dataset.x", "dataset.y", "problem.w0"};
+  for (const char* field : fields) {
+    for (const double special : specials) {
+      SCOPED_TRACE(::testing::Message() << field << " = " << special);
+      SubmitRequest request;
+      request.solver = "alg1_dp_fw";
+      request.problem.loss = kWireLossSquared;
+      request.problem.w0 = {0.0, 0.0, 0.0};
+      request.problem.data.x = Matrix(4, 3);
+      request.problem.data.y = {1.0, 2.0, 3.0, 4.0};
+      if (std::string(field) == "dataset.x") {
+        request.problem.data.x(2, 1) = special;
+      } else if (std::string(field) == "dataset.y") {
+        request.problem.data.y[3] = special;
+      } else {
+        request.problem.w0[1] = special;
+      }
+      WireWriter writer;
+      EncodeSubmit(writer, request);
+      WireReader reader(writer.bytes());
+      SubmitRequest out;
+      const Status status = DecodeSubmit(reader, &out);
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidProblem);
+      EXPECT_NE(status.message().find(field), std::string::npos)
+          << status.message();
+      EXPECT_NE(status.message().find("non-finite"), std::string::npos)
+          << status.message();
+    }
+  }
 }
 
 }  // namespace

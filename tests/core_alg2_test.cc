@@ -1,14 +1,23 @@
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <memory>
+#include <vector>
 
+#include "api/solver_common.h"
+#include "api/solver_registry.h"
 #include "core/ht_private_lasso.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "dp/privacy.h"
 #include "gtest/gtest.h"
+#include "losses/loss.h"
 #include "losses/squared_loss.h"
 #include "optim/polytope.h"
+#include "rng/distributions.h"
 #include "rng/rng.h"
+#include "util/simd.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 namespace {
@@ -159,6 +168,178 @@ TEST(HtPrivateLassoTest, DeterministicGivenSeed) {
   const auto result_b = RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, b);
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_EQ(result_a.w[j], result_b.w[j]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The second-moment path: alg2 computes xx = (1/n) sum x~ x~^T and
+// xy = (1/n) sum y~ x~ in one pass and takes every step's gradient as
+// 2 (xx w - xy).
+// ---------------------------------------------------------------------------
+
+/// Runs `check` once per available SIMD table (pinned with
+/// ScopedSimdIsaOverride, SIMD forced on) and once with SIMD off.
+template <typename Check>
+void ForEachKernelMode(Check&& check) {
+  for (const char* isa : {"avx512f", "avx2", "baseline"}) {
+    if (!SimdIsaAvailable(isa)) continue;
+    ScopedSimdIsaOverride pin(isa);
+    SCOPED_TRACE(isa);
+    check(SimdMode::kOn);
+  }
+  SCOPED_TRACE("simd off");
+  check(SimdMode::kOff);
+}
+
+TEST(ShrunkenMomentsTest, MatchesNaiveSumsOverTheShrunkenCopy) {
+  // d covers lane tails (1, 7, 403) and whole lane groups (16, 400); n
+  // covers fewer rows than one rank-update block (1, 5), a single 512-row
+  // chunk (600) and several chunks (3000).
+  for (const std::size_t d : {1u, 7u, 16u, 400u, 403u}) {
+    for (const std::size_t n : {1u, 5u, 600u, 3000u}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " d=" << d);
+      Rng rng(1000 + 7 * d + n);
+      Dataset data;
+      data.x = Matrix(n, d);
+      data.y.resize(n);
+      for (double& v : data.x.data()) v = SampleStudentT(rng, 3.0);
+      for (double& v : data.y) v = SampleStudentT(rng, 3.0);
+      const double threshold = 2.5;
+
+      // Reference: naive sequential sums over ShrinkDataset's copy (upper
+      // triangle, l >= j), with the matching sums of absolute products as
+      // the error scale.
+      const Dataset shrunken = ShrinkDataset(FullView(data), threshold);
+      std::vector<double> xx(d * d, 0.0);
+      std::vector<double> xx_abs(d * d, 0.0);
+      Vector xy(d, 0.0);
+      Vector xy_abs(d, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* x = shrunken.x.Row(i);
+        for (std::size_t j = 0; j < d; ++j) {
+          xy[j] += shrunken.y[i] * x[j];
+          xy_abs[j] += std::abs(shrunken.y[i] * x[j]);
+          for (std::size_t l = j; l < d; ++l) {
+            xx[j * d + l] += x[j] * x[l];
+            xx_abs[j * d + l] += std::abs(x[j] * x[l]);
+          }
+        }
+      }
+      const double inv_n = 1.0 / static_cast<double>(n);
+
+      ForEachKernelMode([&](SimdMode mode) {
+        const SecondMoments moments =
+            ShrunkenMoments(FullView(data), threshold, mode);
+        ASSERT_EQ(moments.xx.rows(), d);
+        ASSERT_EQ(moments.xx.cols(), d);
+        ASSERT_EQ(moments.xy.size(), d);
+        for (std::size_t j = 0; j < d; ++j) {
+          ASSERT_NEAR(moments.xy[j], xy[j] * inv_n,
+                      1e-12 * xy_abs[j] * inv_n + 1e-300)
+              << "xy[" << j << "]";
+          for (std::size_t l = j; l < d; ++l) {
+            ASSERT_NEAR(moments.xx(j, l), xx[j * d + l] * inv_n,
+                        1e-12 * xx_abs[j * d + l] * inv_n + 1e-300)
+                << "xx(" << j << ", " << l << ")";
+            ASSERT_EQ(moments.xx(l, j), moments.xx(j, l))
+                << "xx(" << l << ", " << j << ") is not the mirror";
+          }
+        }
+      });
+    }
+  }
+}
+
+TEST(ShrunkenMomentsTest, MomentsGradientMatchesEmpiricalGradient) {
+  const std::size_t n = 1500;
+  const std::size_t d = 37;
+  Rng rng(71);
+  const Vector w_star = MakeL1BallTarget(d, rng);
+  const Dataset data = HeavyTailedLinearData(
+      n, d, ScalarDistribution::StudentT(3.0), w_star, rng);
+  const double threshold = 3.0;
+  const Dataset shrunken = ShrinkDataset(FullView(data), threshold);
+  const SecondMoments moments = ShrunkenMoments(FullView(data), threshold);
+  const SquaredLoss loss;
+
+  Vector vertex(d, 0.0);
+  vertex[5] = -1.0;
+  Vector interior(d);
+  for (double& v : interior) v = rng.Uniform(-1.0, 1.0);
+  const double l1 = NormL1(interior);
+  for (double& v : interior) v *= 0.9 / l1;
+
+  for (const Vector& w : {Vector(d, 0.0), vertex, interior}) {
+    Vector want;
+    EmpiricalGradient(loss, FullView(shrunken), w, want);
+    Vector got;
+    MomentsGradient(moments, w, got);
+    ASSERT_EQ(got.size(), d);
+    // |g_j| <= 2 K^2 (||w||_1 + 1), the bound behind alg2's sensitivity.
+    const double scale = 2.0 * threshold * threshold * (NormL1(w) + 1.0);
+    for (std::size_t j = 0; j < d; ++j) {
+      EXPECT_NEAR(got[j], want[j], 1e-12 * scale) << "coordinate " << j;
+    }
+  }
+}
+
+struct Alg2Golden {
+  std::size_t n;
+  std::size_t d;
+  std::uint64_t data_seed;
+  bool moments;           // the side of UseShrunkenMoments the fit is on
+  double checksum;        // sum_i (i+1) * w_i of the final iterate
+  double total_epsilon;   // ledger TotalEpsilon
+  double total_delta;     // ledger TotalDelta
+};
+
+TEST(HtPrivateLassoGoldenTest, BothGradientPathsReproduceStreamedFits) {
+  // Pinned from the streamed-gradient implementation (every step through
+  // EmpiricalGradient over a shrunken copy) on the scalar reference path.
+  // One shape on each side of UseShrunkenMoments. The budget is large and
+  // w* has two strong coordinates, so the gradient rather than the Gumbel
+  // noise decides the picks (the fits recover w*'s support): a pick
+  // flipped by the moments' reassociated sums, or a broken gradient on
+  // either side, fails here.
+  ScopedSimdOverride scalar_reference(false);
+  const Alg2Golden cases[] = {
+      {2000, 40, 61, true, -1.5757575757575757, 64.002513072113899,
+       1.0000000000000004e-05},
+      {1500, 200, 67, false, -3.5151515151515151, 64.002513072113899,
+       1.0000000000000004e-05},
+  };
+  const std::unique_ptr<Solver> solver =
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso);
+  for (const Alg2Golden& golden : cases) {
+    SCOPED_TRACE(::testing::Message() << golden.n << "x" << golden.d);
+    Rng data_rng(golden.data_seed);
+    Vector w_star(golden.d, 0.0);
+    w_star[3] = 0.6;
+    w_star[11] = -0.3;
+    const Dataset data =
+        HeavyTailedLinearData(golden.n, golden.d,
+                              ScalarDistribution::Lognormal(0.0, 0.6),
+                              w_star, data_rng);
+    const SquaredLoss loss;
+    const L1Ball ball(golden.d, 1.0);
+    SolverSpec spec;
+    spec.budget = PrivacyBudget::Approx(200.0, 1e-5);
+    spec.iterations = 10;
+    spec.shrinkage = 3.0;
+    EXPECT_EQ(UseShrunkenMoments(golden.n, golden.d, spec.iterations),
+              golden.moments);
+    Rng rng(7);
+    const StatusOr<FitResult> fit =
+        solver->TryFit(Problem::ConstrainedErm(loss, data, ball), spec, rng);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    double checksum = 0.0;
+    for (std::size_t i = 0; i < fit->w.size(); ++i) {
+      checksum += fit->w[i] * static_cast<double>(i + 1);
+    }
+    const double scale = std::max(std::abs(golden.checksum), 1.0);
+    EXPECT_NEAR(checksum, golden.checksum, 1e-12 * scale);
+    EXPECT_NEAR(fit->ledger.TotalEpsilon(), golden.total_epsilon, 1e-12);
+    EXPECT_NEAR(fit->ledger.TotalDelta(), golden.total_delta, 1e-18);
   }
 }
 

@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -267,6 +269,43 @@ TEST(NetLoopback, UnknownSolverAndUnknownJobAreTypedErrors) {
   auto poll = client->Poll(424242, false);
   ASSERT_FALSE(poll.ok());
   EXPECT_EQ(poll.status().code(), StatusCode::kInvalidProblem);
+}
+
+TEST(NetLoopback, NonFiniteFeatureIsATypedErrorAndSpendsNothing) {
+  daemon::ServerOptions options;
+  options.tenants.push_back({"alpha", PrivacyBudget::Approx(2.0, 0.1)});
+  TestServer server(std::move(options));
+  auto client = server.Connect();
+  auto spent = [&client] {
+    auto stats = client->Stats();
+    EXPECT_TRUE(stats.ok());
+    for (const auto& row : stats.value().tenants) {
+      if (row.name == "alpha") return row.spent.epsilon;
+    }
+    ADD_FAILURE() << "tenant alpha missing from STATS";
+    return -1.0;
+  };
+  const double before = spent();
+
+  // A NaN feature once reached a CHECK inside the Catoni kernel and aborted
+  // the daemon; the decoder now rejects it before anything is reserved.
+  net::SubmitRequest poisoned = TestSubmit(31, "alpha", 1.0);
+  poisoned.problem.data.x(7, 3) = std::numeric_limits<double>::quiet_NaN();
+  auto rejected = client->Submit(poisoned);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(std::string(rejected.status().message()).find("dataset.x"),
+            std::string::npos)
+      << rejected.status().message();
+  EXPECT_EQ(spent(), before);
+
+  // The daemon and the connection keep serving the tenant.
+  const net::SubmitRequest request = TestSubmit(32, "alpha", 1.0);
+  auto job = client->Submit(request);
+  ASSERT_TRUE(job.ok()) << job.status().message();
+  auto remote = client->WaitResult(job.value());
+  ASSERT_TRUE(remote.ok()) << remote.status().message();
+  EXPECT_EQ(remote.value().w, LocalFit(request).w);
 }
 
 // ---------------------------------------------------------------------------

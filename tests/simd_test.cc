@@ -332,6 +332,17 @@ void CompareTables(const SimdKernelTable& table, Check&& check) {
   for (std::size_t i = 0; i < n; ++i) {
     check("gumbel_from_uniform", i, got[i], want[i]);
   }
+  // Full and partial rank-update blocks over a d with a lane tail.
+  const std::size_t d = 37;
+  for (const std::size_t k : {kRankUpdateRows, std::size_t{3}}) {
+    std::vector<double> g_want(d * d, 1.0);
+    std::vector<double> g_got(d * d, 1.0);
+    base->rank_update_upper(xs.data(), k, d, g_want.data());
+    table.rank_update_upper(xs.data(), k, d, g_got.data());
+    for (std::size_t i = 0; i < d * d; ++i) {
+      check("rank_update_upper", i, g_got[i], g_want[i]);
+    }
+  }
   check("dot", 0, table.dot(a.data(), b.data(), n),
         base->dot(a.data(), b.data(), n));
   check("distance_l2", 0, table.distance_l2(a.data(), b.data(), n),
@@ -372,7 +383,8 @@ TEST(SimdDispatchTest, Avx512TableWithinDocumentedTolerances) {
         std::string(kernel) == "smoothed_phi_transform") {
       ASSERT_NEAR(got, want, 2.0 * PhiBound() * 1e-12 + 1e-13)
           << kernel << "[" << i << "]";
-    } else if (std::string(kernel) == "gumbel_from_uniform") {
+    } else if (std::string(kernel) == "gumbel_from_uniform" ||
+               std::string(kernel) == "rank_update_upper") {
       ASSERT_EQ(got, want) << kernel << "[" << i << "]";  // elementwise
     } else {
       ASSERT_NEAR(got, want, 1e-12 * (std::abs(want) + 1.0))
