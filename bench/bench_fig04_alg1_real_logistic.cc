@@ -3,7 +3,6 @@
 // the logistic loss. Same protocol and substitution notes as Figure 3.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_common.h"
@@ -14,8 +13,8 @@ using namespace htdp;
 using namespace htdp::bench;
 
 void RunDataset(const RealWorldSpec& spec, const BenchEnv& env) {
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg1DpFw);
+  const Solver* solver =
+      SolverRegistry::Global().Find(kSolverAlg1DpFw).value();
   Rng rng(env.seed);
   const std::size_t cap = ScaledN(spec.n, env, /*floor_n=*/5000);
   const Dataset full = SimulateRealWorld(spec, cap, rng);
@@ -53,7 +52,7 @@ void RunDataset(const RealWorldSpec& spec, const BenchEnv& env) {
             solver_spec.tau = EstimateGradientSecondMoment(
                 loss, subset, Vector(d, 0.0));
             const FitResult result =
-                solver->Fit(problem, solver_spec, trial_rng);
+                solver->TryFit(problem, solver_spec, trial_rng).value();
             return EmpiricalRisk(loss, full, result.w) - ref_risk;
           });
       row.push_back(MeanStd(summary));

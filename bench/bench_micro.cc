@@ -124,7 +124,8 @@ BENCHMARK(BM_RobustGradient)
     ->Args({1000, 800})
     ->Args({10000, 400})
     ->Args({4096, 2048})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The tracing overhead budget, measured (acceptance: idle tracing costs
 // BM_RobustGradient < 1%). One binary cannot compare against an HTDP_OBS=0
@@ -451,7 +452,8 @@ BENCHMARK(BM_EngineThroughput)
     ->Args({1, 4})
     ->Args({4, 4})
     ->Args({16, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Serving latency: one submit -> result round trip against an in-process
 // htdpd Server over a real loopback socket -- dataset serialization, frame
@@ -530,7 +532,7 @@ void BM_DaemonRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DaemonRoundTrip)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DaemonRoundTrip)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Serving under overload: the same round trip against a deliberately
 // saturated daemon -- one engine worker, a queue cap of 4, and a background
@@ -645,7 +647,9 @@ void BM_DaemonOverloadRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DaemonOverloadRoundTrip)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DaemonOverloadRoundTrip)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // google-benchmark renamed Run::error_occurred to Run::skipped in v1.8.0;
 // detect whichever member this library version has.
@@ -693,11 +697,14 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
           record.extras.emplace_back(extra, it->second.value);
         }
       }
-      // Rate counters are per main-thread CPU time; rescale to wall clock
-      // so pooled runs report true throughput (the number the perf
-      // trajectory tracks).
+      // Rate counters are per main-thread CPU time unless the benchmark
+      // measures real time (its name then ends in "/real_time"); rescale
+      // the CPU-time ones to wall clock so pooled runs report true
+      // throughput (the number the perf trajectory tracks).
+      const bool cpu_timed = run.run_name.time_type.empty();
       const double wall_rescale =
-          (run.real_accumulated_time > 0.0 && run.cpu_accumulated_time > 0.0)
+          (cpu_timed && run.real_accumulated_time > 0.0 &&
+           run.cpu_accumulated_time > 0.0)
               ? run.cpu_accumulated_time / run.real_accumulated_time
               : 1.0;
       const auto items = run.counters.find("items_per_second");

@@ -3,7 +3,7 @@
 //
 // The serving shape behind the paper's figures: one dataset, a grid of
 // (solver, epsilon) cells, every cell an independent DP fit. Instead of a
-// nested loop of blocking Fit() calls, each cell becomes a FitJob submitted
+// nested loop of blocking TryFit() calls, each cell becomes a FitJob submitted
 // to the Engine -- non-aborting (typed Status per job), cancellable, under
 // per-job wall-clock deadlines, with aggregate throughput stats. Results
 // are bit-identical to sequential TryFit at the same seeds.

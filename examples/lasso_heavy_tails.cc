@@ -10,7 +10,6 @@
 // features (the Figure 5 / Figure 6 workloads) at a laptop-friendly scale.
 
 #include <cstdio>
-#include <memory>
 
 #include "core/htdp.h"
 
@@ -42,16 +41,19 @@ void RunWorkload(const char* label, const ScalarDistribution& features,
   SolverSpec alg1_spec;
   alg1_spec.budget = PrivacyBudget::Pure(epsilon);
   alg1_spec.tau = EstimateGradientSecondMoment(loss, FullView(data), w0);
-  const FitResult alg1_result =
-      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(problem,
-                                                            alg1_spec, rng);
+  const FitResult alg1_result = SolverRegistry::Global()
+                                    .Find(kSolverAlg1DpFw)
+                                    .value()
+                                    ->TryFit(problem, alg1_spec, rng)
+                                    .value();
 
   SolverSpec alg2_spec;
   alg2_spec.budget = PrivacyBudget::Approx(epsilon, delta);
-  const FitResult alg2_result =
-      SolverRegistry::Global()
-          .Create(kSolverAlg2PrivateLasso)
-          ->Fit(problem, alg2_spec, rng);
+  const FitResult alg2_result = SolverRegistry::Global()
+                                    .Find(kSolverAlg2PrivateLasso)
+                                    .value()
+                                    ->TryFit(problem, alg2_spec, rng)
+                                    .value();
 
   DpSgdOptions sgd;
   sgd.epsilon = epsilon;

@@ -6,7 +6,6 @@
 // Solver facade.
 
 #include <cstdio>
-#include <memory>
 
 #include "core/htdp.h"
 
@@ -32,8 +31,8 @@ int main() {
   const double star_risk = EmpiricalRisk(loss, data, w_star);
 
   const Problem problem = Problem::SparseErm(loss, data, s_star);
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg5SparseOpt);
+  const Solver* solver =
+      SolverRegistry::Global().Find(kSolverAlg5SparseOpt).value();
 
   std::printf("Algorithm 5: private sparse logistic regression "
               "(n=%zu, d=%zu, s*=%zu, ridge=%.2f)\n",
@@ -48,7 +47,7 @@ int main() {
     SolverSpec spec;
     spec.budget = PrivacyBudget::Approx(epsilon, 1e-5);
     spec.tau = 1.0;  // E x_j^2 = 1 under N(0,1) features
-    const FitResult result = solver->Fit(problem, spec, rng);
+    const FitResult result = solver->TryFit(problem, spec, rng).value();
     const SupportRecovery support = EvaluateSupportRecovery(result.w, w_star);
     std::printf("%10.1f %14.4f %14.4f %10.3f %10d\n", epsilon,
                 EmpiricalRisk(loss, data, result.w),

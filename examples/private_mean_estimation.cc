@@ -7,7 +7,6 @@
 // Omega(tau min{s* log d, log(1/delta)}/(n eps)).
 
 #include <cstdio>
-#include <memory>
 
 #include "core/htdp.h"
 
@@ -19,8 +18,8 @@ int main() {
   const double tau = 1.0;
   const double delta = 1e-5;
 
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg5SparseOpt);
+  const Solver* solver =
+      SolverRegistry::Global().Find(kSolverAlg5SparseOpt).value();
 
   std::printf("Theorem 9 hard instance: sparse mean estimation "
               "(d=%zu, s*=%zu, tau=%.1f)\n\n",
@@ -43,7 +42,7 @@ int main() {
       spec.budget = PrivacyBudget::Approx(epsilon, delta);
       spec.tau = tau;
       spec.step = 0.25;  // mean loss has curvature 2
-      const FitResult result = solver->Fit(problem, spec, rng);
+      const FitResult result = solver->TryFit(problem, spec, rng).value();
 
       const double risk = NormL2Squared(Sub(result.w, theta));
       const double bound = SparseMeanHardFamily::LowerBound(

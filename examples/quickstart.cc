@@ -9,7 +9,6 @@
 // Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
-#include <memory>
 
 #include "core/htdp.h"
 
@@ -43,10 +42,17 @@ int main() {
   spec.tau =
       EstimateGradientSecondMoment(loss, FullView(data), Vector(d, 0.0));
 
-  // WHO solves it: any registered algorithm, by name.
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg1DpFw);
-  const FitResult priv = solver->Fit(problem, spec, rng);
+  // WHO solves it: any registered algorithm, by name. TryFit returns a
+  // typed Status instead of aborting on a configuration it cannot fit.
+  const Solver* solver =
+      SolverRegistry::Global().Find(kSolverAlg1DpFw).value();
+  const StatusOr<FitResult> fit = solver->TryFit(problem, spec, rng);
+  if (!fit.ok()) {
+    std::fprintf(stderr, "fit failed: %s\n",
+                 fit.status().ToString().c_str());
+    return 1;
+  }
+  const FitResult& priv = *fit;
 
   FrankWolfeOptions fw;
   fw.iterations = 120;

@@ -10,7 +10,6 @@
 // biweight loss is the one Theorem 3 actually covers in this regime.
 
 #include <cstdio>
-#include <memory>
 
 #include "core/htdp.h"
 
@@ -32,12 +31,17 @@ int main() {
   const L1Ball ball(d, 1.0);
   const Vector w0(d, 0.0);
   const double epsilon = 2.0;
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg1DpFw);
+  const Solver* solver =
+      SolverRegistry::Global().Find(kSolverAlg1DpFw).value();
 
   // Theorem 3 schedule: fixed step 1/sqrt(T), T ~ sqrt(n eps / log(d)).
-  const Alg1RobustSchedule schedule =
-      SolveAlg1RobustSchedule(n, d, epsilon, 0.1);
+  Alg1RobustSchedule schedule;
+  const Status status = TrySolveAlg1RobustSchedule(
+      n, d, PrivacyBudget::Pure(epsilon), 0.1, &schedule);
+  if (!status.ok()) {
+    std::fprintf(stderr, "schedule: %s\n", status.ToString().c_str());
+    return 1;
+  }
   const BiweightLoss biweight(1.0);
   const Problem robust_problem = Problem::ConstrainedErm(biweight, data, ball);
   SolverSpec robust_spec;
@@ -49,7 +53,7 @@ int main() {
   robust_spec.fixed_step = schedule.step;
   Rng robust_rng = rng.Fork();
   const FitResult robust =
-      solver->Fit(robust_problem, robust_spec, robust_rng);
+      solver->TryFit(robust_problem, robust_spec, robust_rng).value();
 
   // Squared-loss pipeline (Theorem 2 schedule) on the same data.
   const SquaredLoss squared;
@@ -61,7 +65,7 @@ int main() {
       EstimateGradientSecondMoment(squared, FullView(data), w0);
   Rng squared_rng = rng.Fork();
   const FitResult least_squares =
-      solver->Fit(squared_problem, squared_spec, squared_rng);
+      solver->TryFit(squared_problem, squared_spec, squared_rng).value();
 
   std::printf("Robust regression under Student-t(1.5) noise "
               "(n=%zu, d=%zu, eps=%.1f)\n\n",

@@ -6,29 +6,28 @@
 /// pick WHO by name from the SolverRegistry, and get back a common
 /// FitResult with a PrivacyLedger audit trail.
 ///
-///   const auto solver = SolverRegistry::Global().Create("alg1_dp_fw");
+///   const Solver* solver =
+///       SolverRegistry::Global().Find("alg1_dp_fw").value();
 ///   Problem problem = Problem::ConstrainedErm(loss, data, ball);
 ///   SolverSpec spec;
 ///   spec.budget = PrivacyBudget::Pure(1.0);
-///   FitResult fit = solver->Fit(problem, spec, rng);
-///
-/// ## Status taxonomy and the Fit vs. TryFit contract
-///
-/// The API is exception-free and, through TryFit, abort-free: no
-/// user-supplied configuration can crash the process. Fallible entry points
-/// return Status / StatusOr<T> (util/status.h) with typed codes --
-/// kInvalidProblem, kBudgetExhausted, kShapeMismatch, kUnknownSolver, plus
-/// the Engine outcomes kCancelled and kDeadlineExceeded:
-///
 ///   StatusOr<FitResult> fit = solver->TryFit(problem, spec, rng);
+///
+/// ## Status taxonomy
+///
+/// The API is exception-free and abort-free: no user-supplied configuration
+/// can crash the process. Fallible entry points return Status /
+/// StatusOr<T> (util/status.h) with typed codes -- kInvalidProblem,
+/// kBudgetExhausted, kShapeMismatch, kUnknownSolver, plus the Engine
+/// outcomes kCancelled and kDeadlineExceeded:
+///
 ///   if (!fit.ok()) {  // e.g. budget-exhausted: epsilon must be > 0
 ///     log(fit.status().ToString());
 ///   }
 ///
-/// Fit() remains the research-tool spelling: a thin wrapper that
-/// HTDP_CHECK-aborts with the same diagnostic, bit-identical to TryFit on
-/// success. SolverRegistry::Find mirrors the split for lookups (aborting
-/// Create vs. StatusOr-returning Find/TryCreate).
+/// Research code that wants to stop on misuse writes
+/// `solver->TryFit(...).value()`: value() on an error aborts with the
+/// carried diagnostic.
 ///
 /// ## Privacy accounting
 ///
@@ -56,11 +55,11 @@
 #include "api/budget_manager.h"
 #include "api/engine.h"
 #include "api/fit_result.h"
-#include "api/privacy_budget.h"
 #include "api/problem.h"
 #include "api/solver.h"
 #include "api/solver_registry.h"
 #include "api/solver_spec.h"
 #include "api/solvers.h"
+#include "dp/privacy.h"
 
 #endif  // HTDP_API_API_H_

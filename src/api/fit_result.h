@@ -32,7 +32,7 @@ struct FitResult {
   /// SolverSpec::record_risk_trace is set (costs one data pass each).
   std::vector<double> risk_trace;
 
-  /// Wall-clock duration of the Fit() call.
+  /// Wall-clock duration of the TryFit() call.
   double seconds = 0.0;
 };
 
@@ -45,7 +45,7 @@ struct IterationEvent {
   const PrivacyLedger& ledger;  // budget spent so far
 };
 
-/// Observer invoked after every iteration of a Fit() call. Must not mutate
+/// Observer invoked after every iteration of a TryFit() call. Must not mutate
 /// solver state; useful for live risk plots, early-stopping research, and
 /// budget dashboards.
 using IterationObserver = std::function<void(const IterationEvent&)>;

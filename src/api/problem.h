@@ -16,7 +16,7 @@ namespace htdp {
 /// The Problem says WHAT to solve; the SolverSpec says HOW (budget, schedule
 /// overrides, observers).
 ///
-/// All pointers are non-owning and must outlive every Fit() call.
+/// All pointers are non-owning and must outlive every TryFit() call.
 struct Problem {
   /// Per-sample loss. May be null for solvers that fix their own loss
   /// (alg2_private_lasso is squared-loss by construction, alg4_peeling is

@@ -2,13 +2,11 @@
 #define HTDP_API_SOLVER_H_
 
 #include <string>
-#include <utility>
 
 #include "api/fit_result.h"
 #include "api/problem.h"
 #include "api/solver_spec.h"
 #include "rng/rng.h"
-#include "util/check.h"
 #include "util/status.h"
 
 namespace htdp {
@@ -21,25 +19,24 @@ namespace htdp {
 /// constructible by name through SolverRegistry, so harnesses, benches and
 /// examples can enumerate scenarios generically.
 ///
-/// ## The TryFit vs. Fit contract
+/// ## The TryFit contract
 ///
-/// TryFit() is the service-grade entry point: no user-supplied
-/// configuration can abort the process through it. Every user-reachable
-/// precondition -- missing loss/constraint/sparsity target, a dataset whose
-/// shapes disagree, an unfundable privacy budget, degenerate schedule knobs
-/// -- comes back as a typed Status (see util/status.h for the taxonomy):
+/// TryFit() is the one way to run a fit, and it is service-grade: no
+/// user-supplied configuration can abort the process through it. Every
+/// user-reachable precondition -- missing loss/constraint/sparsity target, a
+/// dataset whose shapes disagree, an unfundable privacy budget, degenerate
+/// or non-finite schedule knobs -- comes back as a typed Status (see
+/// util/status.h for the taxonomy):
 ///
 ///   kInvalidProblem   -- the Problem/SolverSpec is malformed for this solver
 ///   kBudgetExhausted  -- epsilon/delta cannot fund the request
 ///   kShapeMismatch    -- tensor geometry disagrees (x/y, w0, constraint)
 ///   kCancelled        -- SolverSpec::should_stop requested a stop mid-fit
 ///
-/// Fit() is a thin wrapper that calls TryFit() and HTDP_CHECK-aborts with
-/// the carried diagnostic on error, preserving the legacy research-tool
-/// contract (and its call sites) verbatim. On success both paths return the
-/// same bits: TryFit never draws from the Rng before its validation phase
-/// completes, so a configuration that passes produces a FitResult identical
-/// to what the pre-Status implementation computed.
+/// TryFit never draws from the Rng before its validation phase completes,
+/// so a rejected configuration leaves the Rng untouched. Callers that want
+/// to stop on misuse write `TryFit(...).value()`, which aborts with the
+/// carried diagnostic.
 ///
 /// Implementations are stateless and const; one Solver instance may be
 /// reused across TryFit() calls and threads (each call takes its own Rng).
@@ -76,17 +73,6 @@ class Solver {
   virtual StatusOr<FitResult> TryFit(const Problem& problem,
                                      const SolverSpec& spec,
                                      Rng& rng) const = 0;
-
-  /// Legacy aborting wrapper: TryFit() with HTDP_CHECK on error, matching
-  /// the historical free functions' crash-on-misuse contract. Successful
-  /// fits are bit-identical to TryFit() with the same Rng state.
-  FitResult Fit(const Problem& problem, const SolverSpec& spec,
-                Rng& rng) const {
-    StatusOr<FitResult> result = TryFit(problem, spec, rng);
-    HTDP_CHECK(result.ok()) << " " << name() << ": "
-                            << result.status().ToString();
-    return std::move(result).value();
-  }
 };
 
 }  // namespace htdp

@@ -67,12 +67,6 @@ StatusOr<std::unique_ptr<Solver>> SolverRegistry::TryCreate(
   return solver;
 }
 
-std::unique_ptr<Solver> SolverRegistry::Create(const std::string& name) const {
-  StatusOr<std::unique_ptr<Solver>> solver = TryCreate(name);
-  HTDP_CHECK(solver.ok()) << " " << solver.status().message();
-  return std::move(solver).value();
-}
-
 std::vector<std::string> SolverRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(factories_.size());

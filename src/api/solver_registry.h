@@ -52,10 +52,6 @@ class SolverRegistry {
   /// Non-aborting fresh instantiation of the named solver.
   StatusOr<std::unique_ptr<Solver>> TryCreate(const std::string& name) const;
 
-  /// Instantiates the named solver. Aborts with the known names on an
-  /// unknown name (use Find()/Contains() for the non-aborting path).
-  std::unique_ptr<Solver> Create(const std::string& name) const;
-
   /// All registered names, sorted.
   std::vector<std::string> Names() const;
 

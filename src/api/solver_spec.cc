@@ -1,7 +1,10 @@
 #include "api/solver_spec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <string>
+#include <utility>
 
 #include "core/hyperparams.h"
 
@@ -9,12 +12,24 @@ namespace htdp {
 
 Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
   if (Status s = budget.Check(); !s.ok()) return s;
-  if (n == 0) return Status::Invalid("dataset is empty");
-  if (d == 0) return Status::Invalid("dataset has dimension 0");
+  if (n == 0) return Status::InvalidProblem("dataset is empty");
+  if (d == 0) return Status::InvalidProblem("dataset has dimension 0");
+  // A NaN fails every `<= 0.0` "auto" test below and would be taken as a
+  // pinned value; neither it nor +-inf is a usable knob for any solver.
+  const std::pair<const char*, double> knobs[] = {
+      {"scale", scale}, {"shrinkage", shrinkage}, {"beta", beta},
+      {"tau", tau},     {"zeta", zeta},           {"step", step},
+      {"fixed_step", fixed_step}, {"radius", radius}};
+  for (const auto& [field, value] : knobs) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidProblem(std::string("SolverSpec.") + field +
+                                    " must be finite, got " +
+                                    std::to_string(value));
+    }
+  }
 
-  // Mirrors the legacy free functions exactly: the auto-schedule is solved
-  // only when at least one of its outputs is unset, and explicitly pinned
-  // fields are never overwritten.
+  // The auto-schedule is solved only when at least one of its outputs is
+  // unset, and explicitly pinned fields are never overwritten.
   switch (algorithm) {
     case AlgorithmId::kDpFw: {
       if (iterations <= 0 || scale <= 0.0) {
@@ -45,7 +60,8 @@ Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
     case AlgorithmId::kSparseLinReg: {
       if (iterations <= 0 || sparsity == 0 || shrinkage <= 0.0) {
         if (target_sparsity == 0 && sparsity == 0) {
-          return Status::Invalid("set target_sparsity (s*) or sparsity (s)");
+          return Status::InvalidProblem(
+              "set target_sparsity (s*) or sparsity (s)");
         }
         const std::size_t s_star =
             target_sparsity > 0 ? target_sparsity : sparsity;
@@ -71,7 +87,8 @@ Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
     case AlgorithmId::kPeeling: {
       if (sparsity == 0) sparsity = target_sparsity;
       if (sparsity == 0) {
-        return Status::Invalid("set target_sparsity (s*) or sparsity (s)");
+        return Status::InvalidProblem(
+            "set target_sparsity (s*) or sparsity (s)");
       }
       if (Status s = CheckSparsityWithinDim(sparsity, d); !s.ok()) return s;
       // Peeling is a single selection round; a pinned iteration count has
@@ -90,7 +107,8 @@ Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
     case AlgorithmId::kSparseOpt: {
       if (iterations <= 0 || sparsity == 0 || scale <= 0.0) {
         if (target_sparsity == 0 && sparsity == 0) {
-          return Status::Invalid("set target_sparsity (s*) or sparsity (s)");
+          return Status::InvalidProblem(
+              "set target_sparsity (s*) or sparsity (s)");
         }
         const std::size_t s_star =
             target_sparsity > 0 ? target_sparsity : sparsity / 2;
@@ -109,8 +127,7 @@ Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
     }
     case AlgorithmId::kRobustGd: {
       if (iterations <= 0 || scale <= 0.0) {
-        // Mirrors Algorithm 1's schedule with the l1-ball vertex count, as
-        // the legacy MinimizeDpRobustGd did.
+        // Mirrors Algorithm 1's schedule with the l1-ball vertex count.
         Alg1Schedule schedule;
         if (Status s = TrySolveAlg1Schedule(n, d, budget, tau, 2 * d,
                                             zeta, &schedule);

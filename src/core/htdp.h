@@ -19,11 +19,11 @@
 ///                     from the theorem schedules via SolverSpec::Resolve)
 ///                     + per-iteration observer.
 ///   Solver         -- the estimator interface; all five paper algorithms
-///                     implement it. TryFit() is the non-aborting entry
-///                     point (typed Status taxonomy in util/status.h);
-///                     Fit() the legacy CHECK-on-error wrapper.
-///   SolverRegistry -- WHO solves: algorithms constructible by name
-///                     (Find()/TryCreate() for the non-aborting path).
+///                     implement it. TryFit() is the one entry point and
+///                     never aborts on user configuration (typed Status
+///                     taxonomy in util/status.h).
+///   SolverRegistry -- WHO solves: algorithms looked up by name with
+///                     Find() (shared instance) or TryCreate() (fresh one).
 ///   FitResult      -- iterate + PrivacyLedger audit + resolved schedule +
 ///                     risk trace + timing.
 ///   Engine         -- concurrent fit-job service (api/engine.h): Submit
@@ -41,22 +41,8 @@
 ///   "alg4_peeling"        -- Alg.4, private top-s selection primitive
 ///   "alg5_sparse_opt"     -- Alg.5, robust-gradient DP-IHT (general loss)
 ///   "baseline_robust_gd"  -- [WXDX20]-style poly(d) Gaussian baseline
-///
-/// The free functions RunHtDpFw / RunHtPrivateLasso / RunHtSparseLinReg /
-/// RunHtSparseOpt / MinimizeDpRobustGd remain as thin back-compat wrappers
-/// over the facade and produce bit-identical results under a fixed seed;
-/// new code should use the registry (see README.md for a migration table).
-/// One deliberate behavior change rides along: a degenerate auto-schedule
-/// configuration (n * epsilon < 1) now aborts with a diagnostic instead of
-/// silently clamping T to 1 and returning a noise-dominated result. Pin
-/// `iterations`/`scale` explicitly to opt back into tiny-budget runs.
 
 #include "api/api.h"
-#include "core/dp_robust_gd.h"
-#include "core/ht_dp_fw.h"
-#include "core/ht_private_lasso.h"
-#include "core/ht_sparse_linreg.h"
-#include "core/ht_sparse_opt.h"
 #include "core/hyperparams.h"
 #include "core/minimax.h"
 #include "core/peeling.h"

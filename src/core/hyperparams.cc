@@ -4,8 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <sstream>
-
-#include "util/check.h"
+#include <string>
 
 namespace htdp {
 namespace {
@@ -25,12 +24,10 @@ std::string Describe(const char* field, double value) {
   return out.str();
 }
 
-// Shared strict validation of the inputs every schedule depends on: the
-// typed PrivacyBudget check plus the fundability floor. The legacy Solve*
-// entry points HTDP_CHECK the same conditions except for the
-// n * epsilon >= 1 floor, which they clamp instead (tests rely on that).
+// Shared validation of the inputs every schedule depends on: the typed
+// PrivacyBudget check plus the fundability floor.
 Status CheckCommon(std::size_t n, const PrivacyBudget& budget) {
-  if (n == 0) return Status::Invalid("n must be > 0");
+  if (n == 0) return Status::InvalidProblem("n must be > 0");
   if (Status s = budget.Check(); !s.ok()) return s;  // incl. finiteness
   if (static_cast<double>(n) * budget.epsilon < 1.0) {
     return Status::BudgetExhausted(
@@ -43,22 +40,23 @@ Status CheckCommon(std::size_t n, const PrivacyBudget& budget) {
 
 Status CheckZeta(double zeta) {
   if (!(zeta > 0.0) || zeta >= 1.0) {
-    return Status::Invalid(Describe("zeta must lie in (0, 1); zeta", zeta));
+    return Status::InvalidProblem(
+        Describe("zeta must lie in (0, 1); zeta", zeta));
   }
   return Status::Ok();
 }
 
 Status CheckTau(double tau) {
   if (!(tau > 0.0) || !std::isfinite(tau)) {
-    return Status::Invalid(Describe("tau must be positive and finite; tau",
-                                    tau));
+    return Status::InvalidProblem(
+        Describe("tau must be positive and finite; tau", tau));
   }
   return Status::Ok();
 }
 
 Status CheckScalePositive(const char* name, double value) {
   if (!(value > 0.0) || !std::isfinite(value)) {
-    return Status::Invalid(Describe(name, value));
+    return Status::InvalidProblem(Describe(name, value));
   }
   return Status::Ok();
 }
@@ -73,52 +71,39 @@ double Alg3ShrinkageFor(std::size_t n, double epsilon, std::size_t sparsity,
 
 }  // namespace
 
-Alg1Schedule SolveAlg1Schedule(std::size_t n, std::size_t d, double epsilon,
-                               double tau, std::size_t num_vertices,
-                               double zeta) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(d, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK_GT(tau, 0.0);
-  HTDP_CHECK(zeta > 0.0 && zeta < 1.0) << "zeta=" << zeta;
+Status TrySolveAlg1Schedule(std::size_t n, std::size_t d,
+                            const PrivacyBudget& budget, double tau,
+                            std::size_t num_vertices, double zeta,
+                            Alg1Schedule* out) {
+  if (Status s = CheckCommon(n, budget); !s.ok()) return s;
+  if (d == 0) return Status::InvalidProblem("d must be > 0");
+  if (num_vertices == 0) {
+    return Status::InvalidProblem("num_vertices must be > 0");
+  }
+  if (Status s = CheckTau(tau); !s.ok()) return s;
+  if (Status s = CheckZeta(zeta); !s.ok()) return s;
   Alg1Schedule schedule;
-  const double n_eps = static_cast<double>(n) * epsilon;
+  const double n_eps = static_cast<double>(n) * budget.epsilon;
   schedule.iterations = ClampIterations(std::floor(std::cbrt(n_eps)), n);
   const double t = static_cast<double>(schedule.iterations);
   const double log_term = SafeLog(static_cast<double>(num_vertices) *
                                   static_cast<double>(d) * t / zeta);
   schedule.scale = std::sqrt(n_eps * tau / (t * log_term));
   schedule.beta = 1.0;
-  return schedule;
+  *out = schedule;
+  return CheckScalePositive(
+      "Alg1 schedule produced a degenerate truncation scale; scale",
+      out->scale);
 }
 
-Status TrySolveAlg1Schedule(std::size_t n, std::size_t d,
-                            const PrivacyBudget& budget, double tau,
-                            std::size_t num_vertices, double zeta,
-                            Alg1Schedule* out) {
+Status TrySolveAlg1RobustSchedule(std::size_t n, std::size_t d,
+                                  const PrivacyBudget& budget, double zeta,
+                                  Alg1RobustSchedule* out) {
   if (Status s = CheckCommon(n, budget); !s.ok()) return s;
-  if (d == 0) return Status::Invalid("d must be > 0");
-  if (num_vertices == 0) return Status::Invalid("num_vertices must be > 0");
-  if (Status s = CheckTau(tau); !s.ok()) return s;
+  if (d == 0) return Status::InvalidProblem("d must be > 0");
   if (Status s = CheckZeta(zeta); !s.ok()) return s;
-  *out = SolveAlg1Schedule(n, d, budget.epsilon, tau, num_vertices, zeta);
-  if (Status s = CheckScalePositive(
-          "Alg1 schedule produced a degenerate truncation scale; scale",
-          out->scale);
-      !s.ok()) {
-    return s;
-  }
-  return Status::Ok();
-}
-
-Alg1RobustSchedule SolveAlg1RobustSchedule(std::size_t n, std::size_t d,
-                                           double epsilon, double zeta) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(d, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK(zeta > 0.0 && zeta < 1.0) << "zeta=" << zeta;
   Alg1RobustSchedule schedule;
-  const double n_eps = static_cast<double>(n) * epsilon;
+  const double n_eps = static_cast<double>(n) * budget.epsilon;
   const double log_d = SafeLog(static_cast<double>(d) / zeta);
   schedule.iterations =
       ClampIterations(std::floor(std::sqrt(n_eps / log_d)), n);
@@ -127,67 +112,26 @@ Alg1RobustSchedule SolveAlg1RobustSchedule(std::size_t n, std::size_t d,
       n_eps / (std::sqrt(t) * SafeLog(static_cast<double>(d) * t / zeta)));
   schedule.beta = 1.0;
   schedule.step = 1.0 / std::sqrt(t);
-  return schedule;
-}
-
-Status TrySolveAlg1RobustSchedule(std::size_t n, std::size_t d,
-                                  const PrivacyBudget& budget, double zeta,
-                                  Alg1RobustSchedule* out) {
-  if (Status s = CheckCommon(n, budget); !s.ok()) return s;
-  if (d == 0) return Status::Invalid("d must be > 0");
-  if (Status s = CheckZeta(zeta); !s.ok()) return s;
-  *out = SolveAlg1RobustSchedule(n, d, budget.epsilon, zeta);
-  if (Status s = CheckScalePositive(
-          "Alg1 robust schedule produced a degenerate truncation scale; "
-          "scale",
-          out->scale);
-      !s.ok()) {
-    return s;
-  }
-  return Status::Ok();
-}
-
-Alg2Schedule SolveAlg2Schedule(std::size_t n, double epsilon) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  Alg2Schedule schedule;
-  const double n_eps = static_cast<double>(n) * epsilon;
-  schedule.iterations =
-      ClampIterations(std::ceil(std::pow(n_eps, 0.4)), n);
-  schedule.shrinkage =
-      std::pow(n_eps, 0.25) /
-      std::pow(static_cast<double>(schedule.iterations), 0.125);
-  return schedule;
+  *out = schedule;
+  return CheckScalePositive(
+      "Alg1 robust schedule produced a degenerate truncation scale; scale",
+      out->scale);
 }
 
 Status TrySolveAlg2Schedule(std::size_t n, const PrivacyBudget& budget,
                             Alg2Schedule* out) {
   if (Status s = CheckCommon(n, budget); !s.ok()) return s;
-  *out = SolveAlg2Schedule(n, budget.epsilon);
-  if (Status s = CheckScalePositive(
-          "Alg2 schedule produced a degenerate shrinkage threshold; "
-          "shrinkage",
-          out->shrinkage);
-      !s.ok()) {
-    return s;
-  }
-  return Status::Ok();
-}
-
-Alg3Schedule SolveAlg3Schedule(std::size_t n, double epsilon,
-                               std::size_t target_sparsity, int multiplier) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK_GT(target_sparsity, 0u);
-  HTDP_CHECK_GE(multiplier, 1);
-  Alg3Schedule schedule;
+  Alg2Schedule schedule;
+  const double n_eps = static_cast<double>(n) * budget.epsilon;
   schedule.iterations =
-      ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
-  schedule.sparsity = target_sparsity * static_cast<std::size_t>(multiplier);
+      ClampIterations(std::ceil(std::pow(n_eps, 0.4)), n);
   schedule.shrinkage =
-      Alg3ShrinkageFor(n, epsilon, schedule.sparsity, schedule.iterations);
-  schedule.step = 0.5;
-  return schedule;
+      std::pow(n_eps, 0.25) /
+      std::pow(static_cast<double>(schedule.iterations), 0.125);
+  *out = schedule;
+  return CheckScalePositive(
+      "Alg2 schedule produced a degenerate shrinkage threshold; shrinkage",
+      out->shrinkage);
 }
 
 Status TrySolveAlg3Schedule(std::size_t n, const PrivacyBudget& budget,
@@ -195,26 +139,30 @@ Status TrySolveAlg3Schedule(std::size_t n, const PrivacyBudget& budget,
                             Alg3Schedule* out) {
   if (Status s = CheckCommon(n, budget); !s.ok()) return s;
   if (target_sparsity == 0) {
-    return Status::Invalid("set target_sparsity (s*) or sparsity (s)");
+    return Status::InvalidProblem("set target_sparsity (s*) or sparsity (s)");
   }
-  if (multiplier < 1) return Status::Invalid("sparsity_multiplier must be >= 1");
-  *out = SolveAlg3Schedule(n, budget.epsilon, target_sparsity, multiplier);
-  if (Status s = CheckScalePositive(
-          "Alg3 schedule produced a degenerate shrinkage threshold; "
-          "shrinkage",
-          out->shrinkage);
-      !s.ok()) {
-    return s;
+  if (multiplier < 1) {
+    return Status::InvalidProblem("sparsity_multiplier must be >= 1");
   }
-  return Status::Ok();
+  Alg3Schedule schedule;
+  schedule.iterations =
+      ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
+  schedule.sparsity = target_sparsity * static_cast<std::size_t>(multiplier);
+  schedule.shrinkage = Alg3ShrinkageFor(n, budget.epsilon, schedule.sparsity,
+                                        schedule.iterations);
+  schedule.step = 0.5;
+  *out = schedule;
+  return CheckScalePositive(
+      "Alg3 schedule produced a degenerate shrinkage threshold; shrinkage",
+      out->shrinkage);
 }
 
 Status TrySolveAlg3Shrinkage(std::size_t n, const PrivacyBudget& budget,
                              std::size_t sparsity, int iterations,
                              double* shrinkage) {
   if (Status s = CheckCommon(n, budget); !s.ok()) return s;
-  if (sparsity == 0) return Status::Invalid("sparsity must be > 0");
-  if (iterations < 1) return Status::Invalid("iterations must be >= 1");
+  if (sparsity == 0) return Status::InvalidProblem("sparsity must be > 0");
+  if (iterations < 1) return Status::InvalidProblem("iterations must be >= 1");
   *shrinkage = Alg3ShrinkageFor(n, budget.epsilon, sparsity, iterations);
   return CheckScalePositive(
       "Alg3 schedule produced a degenerate shrinkage threshold; "
@@ -232,49 +180,33 @@ Status TrySolvePeelingShrinkage(std::size_t n, const PrivacyBudget& budget,
       *shrinkage);
 }
 
-Alg5Schedule SolveAlg5Schedule(std::size_t n, std::size_t d, double epsilon,
-                               double tau, std::size_t target_sparsity,
-                               double zeta) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(d, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK_GT(tau, 0.0);
-  HTDP_CHECK_GT(target_sparsity, 0u);
-  HTDP_CHECK(zeta > 0.0 && zeta < 1.0) << "zeta=" << zeta;
+Status TrySolveAlg5Schedule(std::size_t n, std::size_t d,
+                            const PrivacyBudget& budget, double tau,
+                            std::size_t target_sparsity, double zeta,
+                            Alg5Schedule* out) {
+  if (Status s = CheckCommon(n, budget); !s.ok()) return s;
+  if (d == 0) return Status::InvalidProblem("d must be > 0");
+  if (Status s = CheckTau(tau); !s.ok()) return s;
+  if (target_sparsity == 0) {
+    return Status::InvalidProblem("set target_sparsity (s*) or sparsity (s)");
+  }
+  if (Status s = CheckZeta(zeta); !s.ok()) return s;
   Alg5Schedule schedule;
   schedule.iterations =
       ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
   schedule.sparsity = 2 * target_sparsity;
   const double t = static_cast<double>(schedule.iterations);
   const double s = static_cast<double>(schedule.sparsity);
-  const double n_eps = static_cast<double>(n) * epsilon;
+  const double n_eps = static_cast<double>(n) * budget.epsilon;
   // k^4 = n^2 eps^2 tau^2 / ((s T)^2 log(T s / zeta)) per the Theorem 8 proof.
   schedule.scale = std::sqrt(n_eps * tau / (s * t)) /
                    std::pow(SafeLog(t * s / zeta), 0.25);
   schedule.beta = 1.0;
   schedule.step = 0.5;
-  return schedule;
-}
-
-Status TrySolveAlg5Schedule(std::size_t n, std::size_t d,
-                            const PrivacyBudget& budget, double tau,
-                            std::size_t target_sparsity, double zeta,
-                            Alg5Schedule* out) {
-  if (Status s = CheckCommon(n, budget); !s.ok()) return s;
-  if (d == 0) return Status::Invalid("d must be > 0");
-  if (Status s = CheckTau(tau); !s.ok()) return s;
-  if (target_sparsity == 0) {
-    return Status::Invalid("set target_sparsity (s*) or sparsity (s)");
-  }
-  if (Status s = CheckZeta(zeta); !s.ok()) return s;
-  *out = SolveAlg5Schedule(n, d, budget.epsilon, tau, target_sparsity, zeta);
-  if (Status s = CheckScalePositive(
-          "Alg5 schedule produced a degenerate truncation scale; scale",
-          out->scale);
-      !s.ok()) {
-    return s;
-  }
-  return Status::Ok();
+  *out = schedule;
+  return CheckScalePositive(
+      "Alg5 schedule produced a degenerate truncation scale; scale",
+      out->scale);
 }
 
 }  // namespace htdp

@@ -86,8 +86,10 @@ double ScenarioMetric(const Scenario& scenario,
 double RunScenarioTrial(const Scenario& scenario, std::uint64_t seed) {
   const std::unique_ptr<ScenarioWorkload> workload =
       MakeScenarioWorkload(scenario, seed);
-  const FitResult fit = workload->solver->Fit(workload->problem,
-                                              workload->spec, workload->rng);
+  const FitResult fit =
+      workload->solver
+          ->TryFit(workload->problem, workload->spec, workload->rng)
+          .value();
   return ScenarioMetric(scenario, *workload, fit);
 }
 

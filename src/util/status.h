@@ -86,11 +86,6 @@ class Status {
 
   static Status Ok() { return Status(); }
 
-  /// Back-compat spelling of InvalidProblem (the pre-taxonomy constructor).
-  static Status Invalid(std::string message) {
-    return Status(StatusCode::kInvalidProblem, std::move(message));
-  }
-
   static Status InvalidProblem(std::string message) {
     return Status(StatusCode::kInvalidProblem, std::move(message));
   }
@@ -144,8 +139,8 @@ class Status {
 /// fallible operation in the public API (Solver::TryFit,
 /// SolverRegistry::Find, Engine job results). Construct implicitly from a
 /// non-ok Status or from a T; `value()` on an error aborts with the carried
-/// diagnostic, so `TryFit(...).value()` behaves exactly like the legacy
-/// aborting Fit().
+/// diagnostic, so `TryFit(...).value()` is the spelling for callers that
+/// want to stop on misuse.
 template <typename T>
 class StatusOr {
  public:

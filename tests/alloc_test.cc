@@ -79,9 +79,9 @@ void ExpectFitLoopAllocatesNothingAfterWarmup(const char* solver_name,
   };
 
   const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(solver_name);
+      SolverRegistry::Global().TryCreate(solver_name).value();
   Rng rng(5);
-  const FitResult result = solver->Fit(problem, spec, rng);
+  const FitResult result = solver->TryFit(problem, spec, rng).value();
   ASSERT_EQ(result.iterations, kIterations);
   ASSERT_EQ(iteration_events, kIterations);
   for (int t = 3; t <= kIterations; ++t) {

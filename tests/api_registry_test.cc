@@ -1,8 +1,7 @@
 // Tests for the unified Solver facade: registry round-trips, privacy-budget
-// audits through the common FitResult ledger, bit-for-bit agreement between
-// the facade and the legacy free-function wrappers, the per-iteration
-// observer, and strict SolverSpec::Resolve error reporting on degenerate
-// configurations.
+// audits through the common FitResult ledger, the per-iteration observer,
+// the pinned theorem schedules, and strict SolverSpec::Resolve error
+// reporting on degenerate configurations.
 
 #include <algorithm>
 #include <cmath>
@@ -36,18 +35,13 @@ TEST(SolverRegistryTest, ListsAllBuiltinAlgorithms) {
     EXPECT_TRUE(SolverRegistry::Global().Contains(expected));
   }
   EXPECT_FALSE(SolverRegistry::Global().Contains("no_such_solver"));
-  // Names round-trip through Create() and agree with Solver::name().
+  // Names round-trip through TryCreate() and agree with Solver::name().
   for (const std::string& name : names) {
     const std::unique_ptr<Solver> solver =
-        SolverRegistry::Global().Create(name);
+        SolverRegistry::Global().TryCreate(name).value();
     EXPECT_EQ(solver->name(), name);
     EXPECT_FALSE(solver->description().empty());
   }
-}
-
-TEST(SolverRegistryDeathTest, UnknownNameAborts) {
-  EXPECT_DEATH(SolverRegistry::Global().Create("no_such_solver"),
-               "unknown solver");
 }
 
 TEST(SolverRegistryTest, EveryRegisteredSolverFitsAndSpendsItsBudget) {
@@ -64,7 +58,7 @@ TEST(SolverRegistryTest, EveryRegisteredSolverFitsAndSpendsItsBudget) {
   for (const std::string& name : SolverRegistry::Global().Names()) {
     SCOPED_TRACE(name);
     const std::unique_ptr<Solver> solver =
-        SolverRegistry::Global().Create(name);
+        SolverRegistry::Global().TryCreate(name).value();
 
     Problem problem;
     problem.loss = &loss;
@@ -80,7 +74,7 @@ TEST(SolverRegistryTest, EveryRegisteredSolverFitsAndSpendsItsBudget) {
     spec.step = 0.02;  // conservative for the IHT solvers
 
     Rng rng(5);
-    const FitResult result = solver->Fit(problem, spec, rng);
+    const FitResult result = solver->TryFit(problem, spec, rng).value();
 
     EXPECT_GE(result.iterations, 1);
     EXPECT_FALSE(result.ledger.entries().empty());
@@ -109,160 +103,6 @@ TEST(SolverRegistryTest, EveryRegisteredSolverFitsAndSpendsItsBudget) {
   }
 }
 
-TEST(SolverFacadeTest, Alg1MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(7);
-  const std::size_t d = 6;
-  const Vector w_star = MakeL1BallTarget(d, data_rng);
-  const Dataset data = LognormalLinearData(900, d, w_star, data_rng);
-  const L1Ball ball(d, 1.0);
-  const SquaredLoss loss;
-
-  HtDpFwOptions options;
-  options.epsilon = 0.8;
-  options.tau = 4.0;
-  Rng legacy_rng(99);
-  const HtDpFwResult legacy =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, legacy_rng);
-
-  const Problem problem = Problem::ConstrainedErm(loss, data, ball);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Pure(0.8);
-  spec.tau = 4.0;
-  Rng facade_rng(99);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg1DpFw)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.scale_used, legacy.scale_used);
-  ASSERT_EQ(facade.w.size(), legacy.w.size());
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-  EXPECT_EQ(facade.ledger.entries().size(), legacy.ledger.entries().size());
-}
-
-TEST(SolverFacadeTest, Alg2MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(11);
-  const std::size_t d = 8;
-  const Vector w_star = MakeL1BallTarget(d, data_rng);
-  const Dataset data = LognormalLinearData(700, d, w_star, data_rng);
-  const L1Ball ball(d, 1.0);
-
-  HtPrivateLassoOptions options;  // defaults: eps 1, delta 1e-5
-  Rng legacy_rng(31);
-  const HtPrivateLassoResult legacy =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, legacy_rng);
-
-  Problem problem;
-  problem.data = &data;
-  problem.constraint = &ball;
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  Rng facade_rng(31);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg2PrivateLasso)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.shrinkage_used, legacy.shrinkage_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
-TEST(SolverFacadeTest, Alg3MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(13);
-  const std::size_t d = 20;
-  Vector w_star = MakeSparseTarget(d, 3, data_rng);
-  Scale(0.5, w_star);
-  SyntheticConfig config;
-  config.n = 800;
-  config.d = d;
-  config.feature_dist = ScalarDistribution::Normal(0.0, 2.0);
-  config.noise_dist = ScalarDistribution::Lognormal(0.0, 0.5);
-  const Dataset data = GenerateLinear(config, w_star, data_rng);
-
-  HtSparseLinRegOptions options;
-  options.target_sparsity = 3;
-  options.step = 0.1;
-  Rng legacy_rng(41);
-  const HtSparseLinRegResult legacy =
-      RunHtSparseLinReg(data, Vector(d, 0.0), options, legacy_rng);
-
-  Problem problem;
-  problem.data = &data;
-  problem.target_sparsity = 3;
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.step = 0.1;
-  Rng facade_rng(41);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg3SparseLinReg)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.sparsity_used, legacy.sparsity_used);
-  EXPECT_EQ(facade.shrinkage_used, legacy.shrinkage_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
-TEST(SolverFacadeTest, Alg5MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(19);
-  const std::size_t d = 16;
-  const Vector w_star = MakeSparseTarget(d, 3, data_rng);
-  const Dataset data = LognormalLinearData(1000, d, w_star, data_rng);
-  const SquaredLoss loss;
-
-  HtSparseOptOptions options;
-  options.target_sparsity = 3;
-  options.tau = 4.0;
-  options.step = 0.05;
-  Rng legacy_rng(43);
-  const HtSparseOptResult legacy =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, legacy_rng);
-
-  const Problem problem = Problem::SparseErm(loss, data, 3);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.tau = 4.0;
-  spec.step = 0.05;
-  Rng facade_rng(43);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg5SparseOpt)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.sparsity_used, legacy.sparsity_used);
-  EXPECT_EQ(facade.scale_used, legacy.scale_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
-TEST(SolverFacadeTest, BaselineMatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(23);
-  const std::size_t d = 10;
-  const Vector w_star = MakeL1BallTarget(d, data_rng);
-  const Dataset data = LognormalLinearData(800, d, w_star, data_rng);
-  const SquaredLoss loss;
-
-  DpRobustGdOptions options;
-  options.tau = 4.0;
-  Rng legacy_rng(47);
-  const DpRobustGdResult legacy =
-      MinimizeDpRobustGd(loss, data, Vector(d, 0.0), options, legacy_rng);
-
-  Problem problem;
-  problem.loss = &loss;
-  problem.data = &data;
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.tau = 4.0;
-  Rng facade_rng(47);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverBaselineRobustGd)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.scale_used, legacy.scale_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
 TEST(SolverFacadeTest, PeelingSolverMatchesDirectPeelBitForBit) {
   Rng data_rng(29);
   const std::size_t d = 15;
@@ -276,8 +116,10 @@ TEST(SolverFacadeTest, PeelingSolverMatchesDirectPeelBitForBit) {
   spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
   Rng facade_rng(53);
   const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg4Peeling)
-                               ->Fit(problem, spec, facade_rng);
+                               .Find(kSolverAlg4Peeling)
+                               .value()
+                               ->TryFit(problem, spec, facade_rng)
+                               .value();
 
   // Replicate: shrunken coordinate-wise feature means + a direct Peel call
   // with the same derived options and seed must agree exactly.
@@ -333,8 +175,10 @@ TEST(SolverFacadeTest, ObserverSeesEveryIteration) {
 
   Rng rng(61);
   const FitResult result = SolverRegistry::Global()
-                               .Create(kSolverAlg1DpFw)
-                               ->Fit(problem, spec, rng);
+                               .Find(kSolverAlg1DpFw)
+                               .value()
+                               ->TryFit(problem, spec, rng)
+                               .value();
 
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(result.iterations));
   for (std::size_t i = 0; i < seen.size(); ++i) {
@@ -345,8 +189,7 @@ TEST(SolverFacadeTest, ObserverSeesEveryIteration) {
 }
 
 TEST(SolverFacadeTest, RiskTraceAvailableForIhtSolvers) {
-  // The facade extends the risk trace to the Peeling-based solvers, which
-  // the legacy option structs never exposed.
+  // The risk trace also covers the Peeling-based solvers.
   Rng data_rng(37);
   const std::size_t d = 10;
   const Vector w_star = MakeSparseTarget(d, 2, data_rng);
@@ -362,15 +205,17 @@ TEST(SolverFacadeTest, RiskTraceAvailableForIhtSolvers) {
 
   Rng rng(67);
   const FitResult result = SolverRegistry::Global()
-                               .Create(kSolverAlg5SparseOpt)
-                               ->Fit(problem, spec, rng);
+                               .Find(kSolverAlg5SparseOpt)
+                               .value()
+                               ->TryFit(problem, spec, rng)
+                               .value();
   EXPECT_EQ(result.risk_trace.size(),
             static_cast<std::size_t>(result.iterations));
   // The IHT solvers also report the final iteration's selected support.
   EXPECT_EQ(result.selected.size(), result.sparsity_used);
 }
 
-TEST(SolverSpecTest, ResolveMatchesLegacyAutoSchedules) {
+TEST(SolverSpecTest, ResolveAppliesTheAlg1AutoSchedule) {
   SolverSpec spec;
   spec.algorithm = AlgorithmId::kDpFw;
   spec.budget = PrivacyBudget::Pure(1.0);
@@ -378,10 +223,9 @@ TEST(SolverSpecTest, ResolveMatchesLegacyAutoSchedules) {
   const Status status = spec.Resolve(10000, 200);
   ASSERT_TRUE(status.ok()) << status.message();
 
-  const Alg1Schedule expected = SolveAlg1Schedule(10000, 200, 1.0, 1.0, 400,
-                                                  0.1);
-  EXPECT_EQ(spec.iterations, expected.iterations);
-  EXPECT_EQ(spec.scale, expected.scale);
+  // T = floor((10^4)^(1/3)); the scale is pinned bit for bit.
+  EXPECT_EQ(spec.iterations, 21);
+  EXPECT_EQ(spec.scale, 5.3500062245878865);
 }
 
 TEST(SolverSpecTest, ResolveKeepsExplicitFields) {
@@ -436,7 +280,8 @@ TEST(SolverSpecTest, ResolveRejectsDegenerateConfigurations) {
   }
 }
 
-TEST(HyperparamsTest, TrySolversRejectDegenerateInputsButMatchOtherwise) {
+TEST(HyperparamsTest, TrySolversRejectDegenerateInputsAndPinSchedules) {
+  // The schedules are pinned bit for bit (17 significant digits).
   Alg1Schedule alg1;
   EXPECT_FALSE(
       TrySolveAlg1Schedule(10, 10, PrivacyBudget::Pure(0.01), 1.0, 20, 0.1, &alg1).ok());
@@ -444,82 +289,38 @@ TEST(HyperparamsTest, TrySolversRejectDegenerateInputsButMatchOtherwise) {
       TrySolveAlg1Schedule(10000, 10, PrivacyBudget::Pure(1.0), 1.0, 20, 1.5, &alg1).ok());
   ASSERT_TRUE(
       TrySolveAlg1Schedule(10000, 200, PrivacyBudget::Pure(1.0), 1.0, 400, 0.1, &alg1).ok());
-  const Alg1Schedule legacy1 =
-      SolveAlg1Schedule(10000, 200, 1.0, 1.0, 400, 0.1);
-  EXPECT_EQ(alg1.iterations, legacy1.iterations);
-  EXPECT_EQ(alg1.scale, legacy1.scale);
+  EXPECT_EQ(alg1.iterations, 21);
+  EXPECT_EQ(alg1.scale, 5.3500062245878865);
 
   Alg1RobustSchedule robust;
   EXPECT_FALSE(TrySolveAlg1RobustSchedule(10, 10, PrivacyBudget::Pure(0.01), 0.1, &robust).ok());
   EXPECT_FALSE(TrySolveAlg1RobustSchedule(10000, 10, PrivacyBudget::Pure(1.0), 1.5, &robust).ok());
   ASSERT_TRUE(TrySolveAlg1RobustSchedule(10000, 200, PrivacyBudget::Pure(1.0), 0.1, &robust).ok());
-  const Alg1RobustSchedule legacy_robust =
-      SolveAlg1RobustSchedule(10000, 200, 1.0, 0.1);
-  EXPECT_EQ(robust.iterations, legacy_robust.iterations);
-  EXPECT_EQ(robust.scale, legacy_robust.scale);
-  EXPECT_EQ(robust.step, legacy_robust.step);
+  EXPECT_EQ(robust.iterations, 36);
+  EXPECT_EQ(robust.scale, 12.207243678219848);
+  EXPECT_EQ(robust.step, 1.0 / 6.0);
 
   Alg2Schedule alg2;
   EXPECT_FALSE(TrySolveAlg2Schedule(10, PrivacyBudget::Pure(0.01), &alg2).ok());
   ASSERT_TRUE(TrySolveAlg2Schedule(10000, PrivacyBudget::Pure(1.0), &alg2).ok());
-  const Alg2Schedule legacy2 = SolveAlg2Schedule(10000, 1.0);
-  EXPECT_EQ(alg2.iterations, legacy2.iterations);
-  EXPECT_EQ(alg2.shrinkage, legacy2.shrinkage);
+  EXPECT_EQ(alg2.iterations, 40);
+  EXPECT_EQ(alg2.shrinkage, 6.3058335244718071);
 
   Alg3Schedule alg3;
   EXPECT_FALSE(TrySolveAlg3Schedule(10000, PrivacyBudget::Pure(1.0), 0, 2, &alg3).ok());
   ASSERT_TRUE(TrySolveAlg3Schedule(10000, PrivacyBudget::Pure(1.0), 5, 2, &alg3).ok());
-  const Alg3Schedule legacy3 = SolveAlg3Schedule(10000, 1.0, 5, 2);
-  EXPECT_EQ(alg3.iterations, legacy3.iterations);
-  EXPECT_EQ(alg3.sparsity, legacy3.sparsity);
-  EXPECT_EQ(alg3.shrinkage, legacy3.shrinkage);
+  EXPECT_EQ(alg3.iterations, 9);
+  EXPECT_EQ(alg3.sparsity, 10u);
+  EXPECT_EQ(alg3.shrinkage, 3.2466791547509892);
 
   Alg5Schedule alg5;
   EXPECT_FALSE(
       TrySolveAlg5Schedule(10000, 100, PrivacyBudget::Pure(1.0), 1.0, 0, 0.1, &alg5).ok());
   ASSERT_TRUE(
       TrySolveAlg5Schedule(10000, 100, PrivacyBudget::Pure(1.0), 1.0, 5, 0.1, &alg5).ok());
-  const Alg5Schedule legacy5 = SolveAlg5Schedule(10000, 100, 1.0, 1.0, 5, 0.1);
-  EXPECT_EQ(alg5.iterations, legacy5.iterations);
-  EXPECT_EQ(alg5.sparsity, legacy5.sparsity);
-  EXPECT_EQ(alg5.scale, legacy5.scale);
-
-  // The legacy entry points still clamp borderline inputs instead of
-  // failing (ScheduleHandlesTinyNEps in edge_cases_test pins this).
-  const Alg1Schedule clamped = SolveAlg1Schedule(10, 10, 0.01, 1.0, 20, 0.1);
-  EXPECT_GE(clamped.iterations, 1);
-  EXPECT_GT(clamped.scale, 0.0);
-}
-
-TEST(SolverFacadeDeathTest, NegativeStepAborts) {
-  // step = 0 means "use the algorithm default"; a negative step is a
-  // precondition violation, not a request for the default.
-  Rng rng(73);
-  Rng data_rng(73);
-  const Vector w_star = MakeSparseTarget(8, 2, data_rng);
-  const Dataset data = LognormalLinearData(300, 8, w_star, data_rng);
-  const SquaredLoss loss;
-  const Problem problem = Problem::SparseErm(loss, data, 2);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.step = -0.1;
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg5SparseOpt);
-  EXPECT_DEATH(solver->Fit(problem, spec, rng), "step");
-}
-
-TEST(SolverFacadeDeathTest, MissingSparsityTargetAbortsLikeLegacy) {
-  Rng rng(71);
-  Dataset data;
-  data.x = Matrix(100, 10);
-  data.y.assign(100, 0.0);
-  const SquaredLoss loss;
-  const Problem problem = Problem::SparseErm(loss, data, /*target=*/0);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg5SparseOpt);
-  EXPECT_DEATH(solver->Fit(problem, spec, rng), "target_sparsity");
+  EXPECT_EQ(alg5.iterations, 9);
+  EXPECT_EQ(alg5.sparsity, 10u);
+  EXPECT_EQ(alg5.scale, 6.5269951103291959);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/ht_dp_fw.h"
+#include "api/api.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
@@ -24,6 +24,25 @@ Dataset LognormalLinearData(std::size_t n, std::size_t d,
   return GenerateLinear(config, w_star, rng);
 }
 
+SolverSpec Alg1Spec(double epsilon, double tau) {
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(epsilon);
+  spec.tau = tau;
+  return spec;
+}
+
+FitResult FitAlg1(const Loss& loss, const Dataset& data,
+                  const Polytope& polytope, const Vector& w0,
+                  const SolverSpec& spec, Rng& rng) {
+  Problem problem = Problem::ConstrainedErm(loss, data, polytope);
+  problem.w0 = w0;
+  return SolverRegistry::Global()
+      .Find(kSolverAlg1DpFw)
+      .value()
+      ->TryFit(problem, spec, rng)
+      .value();
+}
+
 TEST(HtDpFwTest, SpendsExactlyEpsilonViaParallelComposition) {
   Rng rng(3);
   const std::size_t d = 8;
@@ -32,11 +51,9 @@ TEST(HtDpFwTest, SpendsExactlyEpsilonViaParallelComposition) {
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
 
-  HtDpFwOptions options;
-  options.epsilon = 0.8;
-  options.tau = 4.0;
-  const HtDpFwResult result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+  const SolverSpec spec = Alg1Spec(0.8, 4.0);
+  const FitResult result =
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
 
   // One exponential-mechanism call per disjoint fold, each epsilon-DP.
   EXPECT_EQ(result.ledger.entries().size(),
@@ -47,8 +64,10 @@ TEST(HtDpFwTest, SpendsExactlyEpsilonViaParallelComposition) {
 
 TEST(HtDpFwTest, AutoScheduleMatchesSection62) {
   // T = floor((n eps)^(1/3)).
-  const Alg1Schedule schedule = SolveAlg1Schedule(10000, 200, 1.0, 1.0,
-                                                  400, 0.1);
+  Alg1Schedule schedule;
+  ASSERT_TRUE(TrySolveAlg1Schedule(10000, 200, PrivacyBudget::Pure(1.0), 1.0,
+                                   400, 0.1, &schedule)
+                  .ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::floor(std::cbrt(10000.0))));
   EXPECT_GT(schedule.scale, 0.0);
@@ -61,11 +80,9 @@ TEST(HtDpFwTest, IterateStaysInPolytope) {
   const Dataset data = LognormalLinearData(3000, d, w_star, rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  const SolverSpec spec = Alg1Spec(1.0, 4.0);
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }
 
@@ -76,16 +93,14 @@ TEST(HtDpFwTest, DeterministicGivenSeed) {
   const Dataset data = LognormalLinearData(1000, d, w_star, data_rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  const SolverSpec spec = Alg1Spec(1.0, 4.0);
 
   Rng rng_a(99);
   Rng rng_b(99);
   const auto result_a =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng_a);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng_a);
   const auto result_b =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng_b);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng_b);
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_EQ(result_a.w[j], result_b.w[j]);
   }
@@ -105,11 +120,9 @@ TEST(HtDpFwTest, ErrorDecreasesWithSampleSize) {
     for (int t = 0; t < trials; ++t) {
       const Vector w_star = MakeL1BallTarget(d, rng);
       const Dataset data = LognormalLinearData(n, d, w_star, rng);
-      HtDpFwOptions options;
-      options.epsilon = 1.0;
-      options.tau = 4.0;
+      const SolverSpec spec = Alg1Spec(1.0, 4.0);
       const auto result =
-          RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+          FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
       total += ExcessEmpiricalRisk(loss, data, result.w, w_star);
     }
     return total / trials;
@@ -128,11 +141,9 @@ TEST(HtDpFwTest, CloseToNonPrivateForLargeBudget) {
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
 
-  HtDpFwOptions options;
-  options.epsilon = 50.0;  // effectively non-private
-  options.tau = 4.0;
+  const SolverSpec spec = Alg1Spec(50.0, 4.0);  // effectively non-private
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
   const double excess = ExcessEmpiricalRisk(loss, data, result.w, w_star);
   EXPECT_LT(excess, 0.25);
 }
@@ -150,11 +161,9 @@ TEST(HtDpFwTest, WorksWithLogisticLoss) {
   const L1Ball ball(d, 1.0);
   const LogisticLoss loss;
 
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  const SolverSpec spec = Alg1Spec(1.0, 4.0);
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
   // Should do no worse than the w=0 predictor by a wide margin allowance.
   EXPECT_LT(EmpiricalRisk(loss, data, result.w),
@@ -175,16 +184,18 @@ TEST(HtDpFwTest, RobustRegressionVariantRuns) {
   const L1Ball ball(d, 1.0);
   const BiweightLoss loss(1.0);
 
-  const Alg1RobustSchedule schedule =
-      SolveAlg1RobustSchedule(config.n, d, 1.0, 0.1);
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.iterations = schedule.iterations;
-  options.scale = schedule.scale;
-  options.diminishing_step = false;
-  options.fixed_step = schedule.step;
+  Alg1RobustSchedule schedule;
+  ASSERT_TRUE(TrySolveAlg1RobustSchedule(config.n, d, PrivacyBudget::Pure(1.0),
+                                         0.1, &schedule)
+                  .ok());
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.iterations = schedule.iterations;
+  spec.scale = schedule.scale;
+  spec.diminishing_step = false;
+  spec.fixed_step = schedule.step;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
   EXPECT_NEAR(result.ledger.TotalEpsilon(), 1.0, 1e-12);
 }
@@ -196,12 +207,10 @@ TEST(HtDpFwTest, RiskTraceRecordsWhenRequested) {
   const Dataset data = LognormalLinearData(1000, d, w_star, rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
-  options.record_risk_trace = true;
+  SolverSpec spec = Alg1Spec(1.0, 4.0);
+  spec.record_risk_trace = true;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
   EXPECT_EQ(result.risk_trace.size(),
             static_cast<std::size_t>(result.iterations));
 }
@@ -224,11 +233,9 @@ TEST(HtDpFwTest, RunsOverProbabilitySimplex) {
   const SquaredLoss loss;
   const ProbabilitySimplex simplex(d);
 
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  const SolverSpec spec = Alg1Spec(1.0, 4.0);
   Vector w0(d, 1.0 / static_cast<double>(d));  // uniform start
-  const auto result = RunHtDpFw(loss, data, simplex, w0, options, rng);
+  const auto result = FitAlg1(loss, data, simplex, w0, spec, rng);
 
   double total = 0.0;
   for (double v : result.w) {
@@ -246,12 +253,12 @@ TEST(HtDpFwTest, ExplicitOverridesRespected) {
   const Dataset data = LognormalLinearData(600, d, w_star, rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.iterations = 5;
-  options.scale = 2.5;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.iterations = 5;
+  spec.scale = 2.5;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitAlg1(loss, data, ball, Vector(d, 0.0), spec, rng);
   EXPECT_EQ(result.iterations, 5);
   EXPECT_NEAR(result.scale_used, 2.5, 1e-15);
 }

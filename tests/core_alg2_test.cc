@@ -6,7 +6,6 @@
 
 #include "api/solver_common.h"
 #include "api/solver_registry.h"
-#include "core/ht_private_lasso.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "dp/privacy.h"
@@ -33,6 +32,25 @@ Dataset HeavyTailedLinearData(std::size_t n, std::size_t d,
   return GenerateLinear(config, w_star, rng);
 }
 
+SolverSpec Alg2Spec(double epsilon) {
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(epsilon, 1e-5);
+  return spec;
+}
+
+FitResult FitAlg2(const Dataset& data, const Polytope& polytope,
+                  const Vector& w0, const SolverSpec& spec, Rng& rng) {
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &polytope;
+  problem.w0 = w0;
+  return SolverRegistry::Global()
+      .Find(kSolverAlg2PrivateLasso)
+      .value()
+      ->TryFit(problem, spec, rng)
+      .value();
+}
+
 TEST(HtPrivateLassoTest, AdvancedCompositionStaysWithinBudget) {
   Rng rng(3);
   const std::size_t d = 10;
@@ -41,11 +59,8 @@ TEST(HtPrivateLassoTest, AdvancedCompositionStaysWithinBudget) {
       2000, d, ScalarDistribution::Lognormal(0.0, 0.6), w_star, rng);
   const L1Ball ball(d, 1.0);
 
-  HtPrivateLassoOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  const HtPrivateLassoResult result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+  const FitResult result =
+      FitAlg2(data, ball, Vector(d, 0.0), Alg2Spec(1.0), rng);
 
   EXPECT_EQ(result.ledger.entries().size(),
             static_cast<std::size_t>(result.iterations));
@@ -62,7 +77,9 @@ TEST(HtPrivateLassoTest, AdvancedCompositionStaysWithinBudget) {
 }
 
 TEST(HtPrivateLassoTest, AutoScheduleMatchesSection62) {
-  const Alg2Schedule schedule = SolveAlg2Schedule(10000, 1.0);
+  Alg2Schedule schedule;
+  ASSERT_TRUE(
+      TrySolveAlg2Schedule(10000, PrivacyBudget::Pure(1.0), &schedule).ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::ceil(std::pow(10000.0, 0.4))));
   const double expected_k =
@@ -78,9 +95,8 @@ TEST(HtPrivateLassoTest, IterateStaysInPolytope) {
   const Dataset data = HeavyTailedLinearData(
       3000, d, ScalarDistribution::StudentT(10.0), w_star, rng);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      FitAlg2(data, ball, Vector(d, 0.0), Alg2Spec(1.0), rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }
 
@@ -92,8 +108,7 @@ TEST(HtPrivateLassoTest, OriginalDataIsNotModified) {
       500, d, ScalarDistribution::Lognormal(0.0, 1.0), w_star, rng);
   const double before = data.x(3, 2);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
-  RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+  FitAlg2(data, ball, Vector(d, 0.0), Alg2Spec(1.0), rng);
   EXPECT_EQ(data.x(3, 2), before);
 }
 
@@ -110,10 +125,8 @@ TEST(HtPrivateLassoTest, ErrorDecreasesWithSampleSize) {
       const Vector w_star = MakeL1BallTarget(d, rng);
       const Dataset data = HeavyTailedLinearData(
           n, d, ScalarDistribution::Lognormal(0.0, 0.6), w_star, rng);
-      HtPrivateLassoOptions options;
-      options.epsilon = 1.0;
       const auto result =
-          RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+          FitAlg2(data, ball, Vector(d, 0.0), Alg2Spec(1.0), rng);
       total += ExcessEmpiricalRisk(loss, data, result.w, w_star);
     }
     return total / trials;
@@ -131,10 +144,8 @@ TEST(HtPrivateLassoTest, LargeBudgetApproachesNonPrivateSolution) {
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
 
-  HtPrivateLassoOptions options;
-  options.epsilon = 50.0;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      FitAlg2(data, ball, Vector(d, 0.0), Alg2Spec(50.0), rng);
   EXPECT_LT(ExcessEmpiricalRisk(loss, data, result.w, w_star), 0.3);
 }
 
@@ -145,11 +156,10 @@ TEST(HtPrivateLassoTest, ShrinkageThresholdIsRecorded) {
   const Dataset data = HeavyTailedLinearData(
       1000, d, ScalarDistribution::Lognormal(0.0, 0.6), w_star, rng);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
-  options.iterations = 10;
-  options.shrinkage = 3.5;
-  const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+  SolverSpec spec = Alg2Spec(1.0);
+  spec.iterations = 10;
+  spec.shrinkage = 3.5;
+  const auto result = FitAlg2(data, ball, Vector(d, 0.0), spec, rng);
   EXPECT_EQ(result.iterations, 10);
   EXPECT_NEAR(result.shrinkage_used, 3.5, 1e-15);
 }
@@ -161,11 +171,11 @@ TEST(HtPrivateLassoTest, DeterministicGivenSeed) {
   const Dataset data = HeavyTailedLinearData(
       800, d, ScalarDistribution::StudentT(10.0), w_star, data_rng);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
+  const SolverSpec spec = Alg2Spec(1.0);
   Rng a(5);
   Rng b(5);
-  const auto result_a = RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, a);
-  const auto result_b = RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, b);
+  const auto result_a = FitAlg2(data, ball, Vector(d, 0.0), spec, a);
+  const auto result_b = FitAlg2(data, ball, Vector(d, 0.0), spec, b);
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_EQ(result_a.w[j], result_b.w[j]);
   }
@@ -309,7 +319,7 @@ TEST(HtPrivateLassoGoldenTest, BothGradientPathsReproduceStreamedFits) {
        1.0000000000000004e-05},
   };
   const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso);
+      SolverRegistry::Global().TryCreate(kSolverAlg2PrivateLasso).value();
   for (const Alg2Golden& golden : cases) {
     SCOPED_TRACE(::testing::Message() << golden.n << "x" << golden.d);
     Rng data_rng(golden.data_seed);

@@ -4,7 +4,6 @@
 
 #include "api/solver_common.h"
 #include "api/solver_registry.h"
-#include "core/ht_sparse_linreg.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
@@ -34,6 +33,26 @@ Vector HalfBallSparseTarget(std::size_t d, std::size_t s, Rng& rng) {
   return w;
 }
 
+SolverSpec Alg3Spec(double epsilon, double delta) {
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(epsilon, delta);
+  return spec;
+}
+
+FitResult FitAlg3(const Dataset& data, const Vector& w0,
+                  std::size_t target_sparsity, const SolverSpec& spec,
+                  Rng& rng) {
+  Problem problem;
+  problem.data = &data;
+  problem.w0 = w0;
+  problem.target_sparsity = target_sparsity;
+  return SolverRegistry::Global()
+      .Find(kSolverAlg3SparseLinReg)
+      .value()
+      ->TryFit(problem, spec, rng)
+      .value();
+}
+
 TEST(HtSparseLinRegTest, OutputIsSparseAndInUnitBall) {
   Rng rng(3);
   const std::size_t d = 100;
@@ -42,12 +61,8 @@ TEST(HtSparseLinRegTest, OutputIsSparseAndInUnitBall) {
   const Dataset data = SparseLinearData(
       5000, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
 
-  HtSparseLinRegOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
-  const HtSparseLinRegResult result =
-      RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  const FitResult result =
+      FitAlg3(data, Vector(d, 0.0), s_star, Alg3Spec(1.0, 1e-5), rng);
 
   EXPECT_LE(NormL0(result.w), result.sparsity_used);
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
@@ -60,11 +75,8 @@ TEST(HtSparseLinRegTest, LedgerComposesInParallelAcrossFolds) {
   const Vector w_star = HalfBallSparseTarget(d, 4, rng);
   const Dataset data = SparseLinearData(
       3000, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
-  HtSparseLinRegOptions options;
-  options.epsilon = 0.5;
-  options.delta = 1e-6;
-  options.target_sparsity = 4;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  const auto result =
+      FitAlg3(data, Vector(d, 0.0), 4, Alg3Spec(0.5, 1e-6), rng);
 
   EXPECT_EQ(result.ledger.entries().size(),
             static_cast<std::size_t>(result.iterations));
@@ -73,7 +85,10 @@ TEST(HtSparseLinRegTest, LedgerComposesInParallelAcrossFolds) {
 }
 
 TEST(HtSparseLinRegTest, AutoScheduleMatchesSection62) {
-  const Alg3Schedule schedule = SolveAlg3Schedule(50000, 1.0, 20, 2);
+  Alg3Schedule schedule;
+  ASSERT_TRUE(
+      TrySolveAlg3Schedule(50000, PrivacyBudget::Pure(1.0), 20, 2, &schedule)
+          .ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::floor(std::log(50000.0))));
   EXPECT_EQ(schedule.sparsity, 40u);
@@ -90,12 +105,9 @@ TEST(HtSparseLinRegTest, RecoversSupportWithLargeBudget) {
   const Dataset data = SparseLinearData(
       40000, d, w_star, ScalarDistribution::Normal(0.0, 0.1), rng);
 
-  HtSparseLinRegOptions options;
-  options.epsilon = 20.0;  // effectively non-private
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
-  options.step = 0.02;  // features have variance 25: keep eta/gamma stable
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec = Alg3Spec(20.0, 1e-5);  // effectively non-private
+  spec.step = 0.02;  // features have variance 25: keep eta/gamma stable
+  const auto result = FitAlg3(data, Vector(d, 0.0), s_star, spec, rng);
 
   const SupportRecovery recovery = EvaluateSupportRecovery(result.w, w_star);
   EXPECT_GT(recovery.recall, 0.7);
@@ -113,13 +125,9 @@ TEST(HtSparseLinRegTest, EstimationErrorDecreasesWithSampleSize) {
       const Vector w_star = HalfBallSparseTarget(d, s_star, rng);
       const Dataset data = SparseLinearData(
           n, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
-      HtSparseLinRegOptions options;
-      options.epsilon = 2.0;
-      options.delta = 1e-5;
-      options.target_sparsity = s_star;
-      options.step = 0.02;
-      const auto result =
-          RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+      SolverSpec spec = Alg3Spec(2.0, 1e-5);
+      spec.step = 0.02;
+      const auto result = FitAlg3(data, Vector(d, 0.0), s_star, spec, rng);
       total += EstimationError(result.w, w_star);
     }
     return total / trials;
@@ -134,11 +142,11 @@ TEST(HtSparseLinRegTest, ExplicitOverridesRespected) {
   const Vector w_star = HalfBallSparseTarget(d, 3, rng);
   const Dataset data = SparseLinearData(
       1000, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
-  HtSparseLinRegOptions options;
-  options.iterations = 4;
-  options.sparsity = 9;
-  options.shrinkage = 2.0;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec = Alg3Spec(1.0, 1e-5);
+  spec.iterations = 4;
+  spec.sparsity = 9;
+  spec.shrinkage = 2.0;
+  const auto result = FitAlg3(data, Vector(d, 0.0), 0, spec, rng);
   EXPECT_EQ(result.iterations, 4);
   EXPECT_EQ(result.sparsity_used, 9u);
   EXPECT_NEAR(result.shrinkage_used, 2.0, 1e-15);
@@ -149,9 +157,10 @@ TEST(HtSparseLinRegDeathTest, RequiresSomeSparsityTarget) {
   Dataset data;
   data.x = Matrix(100, 10);
   data.y.assign(100, 0.0);
-  HtSparseLinRegOptions options;  // neither sparsity nor target set
-  EXPECT_DEATH(RunHtSparseLinReg(data, Vector(10, 0.0), options, rng),
-               "target_sparsity");
+  // Neither sparsity nor target set.
+  EXPECT_DEATH(
+      FitAlg3(data, Vector(10, 0.0), 0, Alg3Spec(1.0, 1e-5), rng),
+      "target_sparsity");
 }
 
 TEST(HtSparseLinRegTest, HeavyNoiseStillProducesBoundedIterate) {
@@ -160,9 +169,8 @@ TEST(HtSparseLinRegTest, HeavyNoiseStillProducesBoundedIterate) {
   const Vector w_star = HalfBallSparseTarget(d, 5, rng);
   const Dataset data = SparseLinearData(
       4000, d, w_star, ScalarDistribution::LogLogistic(0.1), rng);
-  HtSparseLinRegOptions options;
-  options.target_sparsity = 5;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  const auto result =
+      FitAlg3(data, Vector(d, 0.0), 5, Alg3Spec(1.0, 1e-5), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
 }
@@ -185,7 +193,7 @@ TEST(HtSparseLinRegTest, StreamedShrinkageMatchesShrunkenCopyBitForBit) {
 
   for (const char* name : {kSolverAlg3SparseLinReg, kSolverAlg2PrivateLasso}) {
     const std::unique_ptr<Solver> solver =
-        SolverRegistry::Global().Create(name);
+        SolverRegistry::Global().TryCreate(name).value();
     Problem problem;
     problem.data = &raw;
     problem.constraint = &ball;
@@ -193,14 +201,16 @@ TEST(HtSparseLinRegTest, StreamedShrinkageMatchesShrunkenCopyBitForBit) {
     SolverSpec spec;
     spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
     Rng raw_rng(43);
-    const FitResult from_raw = solver->Fit(problem, spec, raw_rng);
+    const FitResult from_raw =
+        solver->TryFit(problem, spec, raw_rng).value();
 
     const Dataset shrunken = ShrinkDataset(FullView(raw),
                                            from_raw.shrinkage_used);
     problem.data = &shrunken;
     spec.shrinkage = from_raw.shrinkage_used;
     Rng shrunken_rng(43);
-    const FitResult from_shrunken = solver->Fit(problem, spec, shrunken_rng);
+    const FitResult from_shrunken =
+        solver->TryFit(problem, spec, shrunken_rng).value();
 
     EXPECT_EQ(from_raw.iterations, from_shrunken.iterations) << name;
     EXPECT_EQ(from_raw.selected, from_shrunken.selected) << name;

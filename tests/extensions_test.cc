@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "api/api.h"
-#include "core/dp_robust_gd.h"
 #include "data/synthetic.h"
 #include "dp/gaussian_mechanism.h"
 #include "gtest/gtest.h"
@@ -87,13 +86,13 @@ TEST(BaselineSolverTest, VectorNoiseFillFlagGatesTheStreamChange) {
   spec.scale = 2.0;
 
   const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverBaselineRobustGd);
+      SolverRegistry::Global().TryCreate(kSolverBaselineRobustGd).value();
 
   // Default off: two runs agree bit for bit (pinned-seed contract).
   Rng rng_a(55);
   Rng rng_b(55);
-  const FitResult off_a = solver->Fit(problem, spec, rng_a);
-  const FitResult off_b = solver->Fit(problem, spec, rng_b);
+  const FitResult off_a = solver->TryFit(problem, spec, rng_a).value();
+  const FitResult off_b = solver->TryFit(problem, spec, rng_b).value();
   for (std::size_t j = 0; j < off_a.w.size(); ++j) {
     ASSERT_EQ(off_a.w[j], off_b.w[j]);
   }
@@ -103,8 +102,8 @@ TEST(BaselineSolverTest, VectorNoiseFillFlagGatesTheStreamChange) {
   filled.vector_noise_fill = true;
   Rng rng_c(55);
   Rng rng_d(55);
-  const FitResult on_a = solver->Fit(problem, filled, rng_c);
-  const FitResult on_b = solver->Fit(problem, filled, rng_d);
+  const FitResult on_a = solver->TryFit(problem, filled, rng_c).value();
+  const FitResult on_b = solver->TryFit(problem, filled, rng_d).value();
   bool any_difference = false;
   for (std::size_t j = 0; j < on_a.w.size(); ++j) {
     ASSERT_EQ(on_a.w[j], on_b.w[j]);
@@ -124,12 +123,17 @@ TEST(DpRobustGdTest, SpendsEpsilonPerFoldInParallel) {
   const Dataset data = GenerateLinear(config, w_star, rng);
   const SquaredLoss loss;
 
-  DpRobustGdOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.tau = 4.0;
-  const auto result =
-      MinimizeDpRobustGd(loss, data, Vector(config.d, 0.0), options, rng);
+  Problem problem;
+  problem.loss = &loss;
+  problem.data = &data;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.tau = 4.0;
+  const auto result = SolverRegistry::Global()
+                          .Find(kSolverBaselineRobustGd)
+                          .value()
+                          ->TryFit(problem, spec, rng)
+                          .value();
   EXPECT_EQ(result.ledger.entries().size(),
             static_cast<std::size_t>(result.iterations));
   EXPECT_NEAR(result.ledger.TotalEpsilon(), 1.0, 1e-12);
@@ -149,13 +153,18 @@ TEST(DpRobustGdTest, NoiseGrowsWithDimensionRelativeToAlg1) {
     const Vector w_star = MakeL1BallTarget(d, rng);
     const Dataset data = GenerateLinear(config, w_star, rng);
     const SquaredLoss loss;
-    DpRobustGdOptions options;
-    options.epsilon = 1.0;
-    options.delta = 1e-5;
-    options.iterations = 4;
-    options.scale = 2.0;
-    const auto result =
-        MinimizeDpRobustGd(loss, data, Vector(d, 0.0), options, rng);
+    Problem problem;
+    problem.loss = &loss;
+    problem.data = &data;
+    SolverSpec spec;
+    spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+    spec.iterations = 4;
+    spec.scale = 2.0;
+    const auto result = SolverRegistry::Global()
+                            .Find(kSolverBaselineRobustGd)
+                            .value()
+                            ->TryFit(problem, spec, rng)
+                            .value();
     const double per_coord =
         4.0 * std::sqrt(2.0) * 2.0 / (3.0 * (data.size() / 4.0));
     EXPECT_NEAR(result.ledger.entries()[0].sensitivity,

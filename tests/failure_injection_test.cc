@@ -21,6 +21,29 @@ Dataset BaseData(std::size_t n, std::size_t d, Rng& rng) {
   return GenerateLinear(config, w_star, rng);
 }
 
+// Runs the named solver; a rejected configuration aborts with its Status.
+FitResult FitWith(const char* solver, const Problem& problem,
+                  const SolverSpec& spec, Rng& rng) {
+  return SolverRegistry::Global()
+      .Find(solver)
+      .value()
+      ->TryFit(problem, spec, rng)
+      .value();
+}
+
+SolverSpec PureSpec(double epsilon, double tau) {
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(epsilon);
+  spec.tau = tau;
+  return spec;
+}
+
+SolverSpec ApproxSpec(double epsilon, double delta) {
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(epsilon, delta);
+  return spec;
+}
+
 TEST(FailureInjectionTest, Alg1SurvivesPlantedMegaOutliers) {
   Rng rng(3);
   const std::size_t d = 12;
@@ -34,11 +57,9 @@ TEST(FailureInjectionTest, Alg1SurvivesPlantedMegaOutliers) {
   }
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      FitWith(kSolverAlg1DpFw, Problem::ConstrainedErm(loss, data, ball),
+              PureSpec(1.0, 4.0), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
   EXPECT_NEAR(result.ledger.TotalEpsilon(), 1.0, 1e-12);
@@ -56,15 +77,15 @@ TEST(FailureInjectionTest, Alg1OutlierRowsBarelyMoveTheIterate) {
 
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 5.0;
-  options.tau = 4.0;
+  const SolverSpec spec = PureSpec(5.0, 4.0);
   Rng rng_a(42);
   Rng rng_b(42);
   const auto result_clean =
-      RunHtDpFw(loss, clean, ball, Vector(d, 0.0), options, rng_a);
+      FitWith(kSolverAlg1DpFw, Problem::ConstrainedErm(loss, clean, ball),
+              spec, rng_a);
   const auto result_dirty =
-      RunHtDpFw(loss, dirty, ball, Vector(d, 0.0), options, rng_b);
+      FitWith(kSolverAlg1DpFw, Problem::ConstrainedErm(loss, dirty, ball),
+              spec, rng_b);
   // Both stay in the ball; distance is at most the diameter but in
   // practice far below it (the truncation absorbs the row).
   EXPECT_LE(DistanceL2(result_clean.w, result_dirty.w), 1.0);
@@ -76,12 +97,12 @@ TEST(FailureInjectionTest, Alg2SurvivesInfinityMagnitudeEntries) {
   Dataset data = BaseData(1000, d, rng);
   data.x(3, 4) = 1e300;
   data.y[9] = -1e300;
+  const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      FitWith(kSolverAlg2PrivateLasso,
+              Problem::ConstrainedErm(loss, data, ball),
+              ApproxSpec(1.0, 1e-5), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }
@@ -93,11 +114,10 @@ TEST(FailureInjectionTest, Alg3SurvivesConstantFeatures) {
   const std::size_t d = 30;
   Dataset data = BaseData(3000, d, rng);
   for (std::size_t i = 0; i < data.size(); ++i) data.x(i, 5) = 1.0;
-  HtSparseLinRegOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 3;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  const SquaredLoss loss;
+  const auto result =
+      FitWith(kSolverAlg3SparseLinReg, Problem::SparseErm(loss, data, 3),
+              ApproxSpec(1.0, 1e-5), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
 }
@@ -109,12 +129,9 @@ TEST(FailureInjectionTest, Alg5SurvivesAllZeroFeatures) {
   data.x = Matrix(500, d);  // all zeros
   data.y.assign(500, 1.0);
   const LogisticLoss loss;
-  HtSparseOptOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 2;
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      FitWith(kSolverAlg5SparseOpt, Problem::SparseErm(loss, data, 2),
+              ApproxSpec(1.0, 1e-5), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL0(result.w), 4u);
 }
@@ -125,12 +142,9 @@ TEST(FailureInjectionTest, Alg5SurvivesSingleClassLabels) {
   Dataset data = BaseData(800, d, rng);
   for (double& y : data.y) y = 1.0;  // degenerate labels
   const LogisticLoss loss(0.01);
-  HtSparseOptOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 2;
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      FitWith(kSolverAlg5SparseOpt, Problem::SparseErm(loss, data, 2),
+              ApproxSpec(1.0, 1e-5), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
 }
 
@@ -184,11 +198,9 @@ TEST(FailureInjectionTest, DuplicatedDatasetGivesConsistentResults) {
   }
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 2.0;
-  options.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, doubled, ball, Vector(d, 0.0), options, rng);
+      FitWith(kSolverAlg1DpFw, Problem::ConstrainedErm(loss, doubled, ball),
+              PureSpec(2.0, 4.0), rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }

@@ -308,6 +308,49 @@ TEST(NetLoopback, NonFiniteFeatureIsATypedErrorAndSpendsNothing) {
   EXPECT_EQ(remote.value().w, LocalFit(request).w);
 }
 
+TEST(NetLoopback, NonFiniteSpecValueIsATypedErrorAndSpendsNothing) {
+  daemon::ServerOptions options;
+  options.tenants.push_back({"alpha", PrivacyBudget::Approx(2.0, 0.1)});
+  TestServer server(std::move(options));
+  auto client = server.Connect();
+  auto spent = [&client] {
+    auto stats = client->Stats();
+    EXPECT_TRUE(stats.ok());
+    for (const auto& row : stats.value().tenants) {
+      if (row.name == "alpha") return row.spent.epsilon;
+    }
+    ADD_FAILURE() << "tenant alpha missing from STATS";
+    return -1.0;
+  };
+  const double before = spent();
+
+  // A NaN scale with a pinned T once passed the `<= 0` auto test, reached a
+  // CHECK in the robust mean and aborted the daemon. SolverSpec::Resolve
+  // now rejects it before any mechanism runs, and the reservation is
+  // refunded. The job fails on a worker, so the error arrives inline on
+  // SUBMIT when the job is already done at reply time, else on the poll.
+  net::SubmitRequest poisoned = TestSubmit(33, "alpha", 1.0);
+  poisoned.spec.iterations = 5;
+  poisoned.spec.scale = std::numeric_limits<double>::quiet_NaN();
+  auto job = client->Submit(poisoned);
+  const Status rejected =
+      job.ok() ? client->WaitResult(job.value()).status() : job.status();
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(std::string(rejected.message()).find("SolverSpec.scale"),
+            std::string::npos)
+      << rejected.message();
+  EXPECT_EQ(spent(), before);
+
+  // The daemon and the connection keep serving the tenant.
+  const net::SubmitRequest request = TestSubmit(34, "alpha", 1.0);
+  auto next = client->Submit(request);
+  ASSERT_TRUE(next.ok()) << next.status().message();
+  auto remote = client->WaitResult(next.value());
+  ASSERT_TRUE(remote.ok()) << remote.status().message();
+  EXPECT_EQ(remote.value().w, LocalFit(request).w);
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation
 

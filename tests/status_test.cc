@@ -4,6 +4,8 @@
 // acceptance bar: no user-supplied configuration may abort the process
 // through TryFit -- every case below returns a typed Status instead.
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +15,8 @@
 
 namespace htdp {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Dataset SmallLinearData(std::size_t n, std::size_t d, std::uint64_t seed) {
   Rng rng(seed);
@@ -42,9 +46,6 @@ TEST(StatusTest, CodesAndConstructorsAgree) {
   EXPECT_EQ(Status::Cancelled("x").code(), StatusCode::kCancelled);
   EXPECT_EQ(Status::DeadlineExceeded("x").code(),
             StatusCode::kDeadlineExceeded);
-
-  // The legacy spelling maps onto the taxonomy.
-  EXPECT_EQ(Status::Invalid("x").code(), StatusCode::kInvalidProblem);
 
   EXPECT_STREQ(StatusCodeName(StatusCode::kBudgetExhausted),
                "budget-exhausted");
@@ -242,6 +243,33 @@ TEST(TryFitStatusTest, NoUserErrorAborts) {
       ASSERT_FALSE(fit.ok());
       EXPECT_EQ(fit.status().code(), StatusCode::kShapeMismatch);
     }
+    // Non-finite knobs. A NaN fails every `<= 0` auto test and used to be
+    // taken as a pinned value, aborting inside the robust mean, the
+    // exponential mechanism, the projection or peeling.
+    const std::pair<const char*, double SolverSpec::*> knobs[] = {
+        {"scale", &SolverSpec::scale},
+        {"shrinkage", &SolverSpec::shrinkage},
+        {"beta", &SolverSpec::beta},
+        {"tau", &SolverSpec::tau},
+        {"zeta", &SolverSpec::zeta},
+        {"step", &SolverSpec::step},
+        {"fixed_step", &SolverSpec::fixed_step},
+        {"radius", &SolverSpec::radius}};
+    for (const auto& [field, member] : knobs) {
+      for (const double value : {std::nan(""), kInf, -kInf}) {
+        SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
+        SolverSpec spec = good_spec;
+        spec.iterations = 5;
+        spec.*member = value;
+        const auto fit = solver->TryFit(good, spec, rng);
+        ASSERT_FALSE(fit.ok());
+        EXPECT_EQ(fit.status().code(), StatusCode::kInvalidProblem);
+        EXPECT_NE(fit.status().message().find(std::string("SolverSpec.") +
+                                              field),
+                  std::string::npos)
+            << fit.status().message();
+      }
+    }
   }
 }
 
@@ -258,30 +286,6 @@ TEST(TryFitStatusTest, NegativeStepIsInvalidProblem) {
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kInvalidProblem);
   EXPECT_NE(fit.status().message().find("step"), std::string::npos);
-}
-
-TEST(TryFitStatusTest, SuccessMatchesAbortingFitBitForBit) {
-  const Dataset data = SmallLinearData(600, 10, 23);
-  const SquaredLoss loss;
-  const L1Ball ball(10, 1.0);
-  const Problem problem = Problem::ConstrainedErm(loss, data, ball);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Pure(1.0);
-  spec.tau = 4.0;
-
-  const Solver* solver = *SolverRegistry::Global().Find(kSolverAlg1DpFw);
-  Rng try_rng(99);
-  const StatusOr<FitResult> tried = solver->TryFit(problem, spec, try_rng);
-  ASSERT_TRUE(tried.ok()) << tried.status().ToString();
-  Rng fit_rng(99);
-  const FitResult fitted = solver->Fit(problem, spec, fit_rng);
-
-  ASSERT_EQ(tried->w.size(), fitted.w.size());
-  for (std::size_t j = 0; j < fitted.w.size(); ++j) {
-    EXPECT_EQ(tried->w[j], fitted.w[j]);
-  }
-  EXPECT_EQ(tried->iterations, fitted.iterations);
-  EXPECT_EQ(tried->ledger.entries().size(), fitted.ledger.entries().size());
 }
 
 TEST(TryFitStatusTest, PrefixViewMatchesDeepCopyBitForBit) {
