@@ -6,7 +6,7 @@
 // error is reported for growing prefixes n and several epsilon. The genuine
 // UCI files are not redistributable here, so data/real_world_sim.h provides
 // heavy-tailed correlated stand-ins with the paper's (n, d) (see DESIGN.md
-// section 3); drop the real CSVs in with data/csv.h to reproduce exactly.
+// section 3); to reproduce exactly, load the real files into a Dataset.
 
 #include <cstdio>
 #include <vector>

@@ -62,6 +62,25 @@ class Alg3SparseLinRegSolver final : public Solver {
     const StepBudget release = GetAccountant(resolved.accounting)
                                    .StepBudgetFor(resolved.budget, /*steps=*/1);
 
+    // Step 6's Peeling on a fold of m rows, lambda = 2 K^2 eta0 (sqrt(s) +
+    // 1) / m. Every fold's noise scale is checked before the first release.
+    const double k2 = shrinkage * shrinkage;
+    const auto peeling_for = [&](std::size_t m) {
+      PeelingOptions peeling;
+      peeling.sparsity = sparsity;
+      peeling.epsilon = release.epsilon;
+      peeling.delta = release.delta;
+      peeling.linf_sensitivity =
+          2.0 * k2 * step *
+          (std::sqrt(static_cast<double>(sparsity)) + 1.0) /
+          static_cast<double>(m);
+      return peeling;
+    };
+    for (const DatasetView& fold : folds) {
+      HTDP_RETURN_IF_ERROR(
+          CheckPeelingNoiseScale(*this, peeling_for(fold.size())));
+    }
+
     FitResult result;
     result.w = w0;
     result.iterations = iterations;
@@ -71,7 +90,6 @@ class Alg3SparseLinRegSolver final : public Solver {
 
     const SquaredLoss loss;
     const std::size_t d = data.dim();
-    const double k2 = shrinkage * shrinkage;
     result.ledger.Reserve(static_cast<std::size_t>(iterations));
     result.selected.reserve(sparsity);  // the last iteration copies into it
     SolverWorkspace ws;
@@ -97,16 +115,8 @@ class Alg3SparseLinRegSolver final : public Solver {
       Vector& w_half = ws.w_half;
       Axpy(-step / static_cast<double>(m), grad, w_half);
 
-      // Step 6: Peeling with lambda = 2 K^2 eta0 (sqrt(s) + 1) / m.
-      PeelingOptions peeling;
-      peeling.sparsity = sparsity;
-      peeling.epsilon = release.epsilon;
-      peeling.delta = release.delta;
-      peeling.linf_sensitivity =
-          2.0 * k2 * step *
-          (std::sqrt(static_cast<double>(sparsity)) + 1.0) /
-          static_cast<double>(m);
-      PeelInto(w_half, peeling, rng, &ws.peeled, &result.ledger,
+      // Step 6: Peeling.
+      PeelInto(w_half, peeling_for(m), rng, &ws.peeled, &result.ledger,
                /*fold=*/t);
 
       // Step 7: project onto the unit l2 ball.

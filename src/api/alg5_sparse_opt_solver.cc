@@ -52,6 +52,23 @@ class Alg5SparseOptSolver final : public Solver {
     const StepBudget release = GetAccountant(resolved.accounting)
                                    .StepBudgetFor(resolved.budget, /*steps=*/1);
 
+    // Peeling on a fold of m rows with the paper's lambda = 4 sqrt(2) k eta
+    // / m, which dominates the true step sensitivity eta * 4 sqrt(2) k /
+    // (3 m). Every fold's noise scale is checked before the first release.
+    const auto peeling_for = [&](std::size_t m) {
+      PeelingOptions peeling;
+      peeling.sparsity = sparsity;
+      peeling.epsilon = release.epsilon;
+      peeling.delta = release.delta;
+      peeling.linf_sensitivity = 4.0 * std::sqrt(2.0) * scale * step /
+                                 static_cast<double>(m);
+      return peeling;
+    };
+    for (const DatasetView& fold : plan.folds) {
+      HTDP_RETURN_IF_ERROR(
+          CheckPeelingNoiseScale(*this, peeling_for(fold.size())));
+    }
+
     FitResult result;
     result.w = w0;
     result.iterations = iterations;
@@ -73,15 +90,7 @@ class Alg5SparseOptSolver final : public Solver {
       ws.w_half = result.w;
       Axpy(-step, ws.robust_grad, ws.w_half);
 
-      // Peeling with the paper's lambda = 4 sqrt(2) k eta / m, which
-      // dominates the true step sensitivity eta * 4 sqrt(2) k / (3 m).
-      PeelingOptions peeling;
-      peeling.sparsity = sparsity;
-      peeling.epsilon = release.epsilon;
-      peeling.delta = release.delta;
-      peeling.linf_sensitivity = 4.0 * std::sqrt(2.0) * scale * step /
-                                 static_cast<double>(m);
-      PeelInto(ws.w_half, peeling, rng, &ws.peeled, &result.ledger,
+      PeelInto(ws.w_half, peeling_for(m), rng, &ws.peeled, &result.ledger,
                /*fold=*/t);
       result.w = ws.peeled.value;
       if (t + 1 == iterations) {

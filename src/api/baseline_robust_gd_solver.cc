@@ -37,6 +37,11 @@ class BaselineRobustGdSolver final : public Solver {
     const Loss& loss = *problem.loss;
     const Vector w0 = problem.InitialIterate();
     HTDP_RETURN_IF_ERROR(CheckBetaPositive(spec.beta));
+    if (spec.projection != PgdOptions::Projection::kNone &&
+        !(spec.radius > 0.0)) {
+      return Status::InvalidProblem(
+          name() + ": SolverSpec.radius must be > 0 for a ball projection");
+    }
 
     HTDP_ASSIGN_OR_RETURN(const SolverSpec resolved,
                           TryResolveSpec(*this, problem, spec));

@@ -4,14 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "api/solver_registry.h"
-#include "api/work_steal_deque.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,8 +40,6 @@ struct EngineMetrics {
   obs::Counter* budget_rejected;
   obs::Counter* shed;
   obs::Counter* shed_expired;
-  obs::Counter* stolen;
-  obs::Counter* steal_failures;
   obs::Gauge* queue_depth;
   obs::Gauge* running;
   obs::Gauge* overloaded;
@@ -73,11 +70,6 @@ EngineMetrics& Met() {
     m->shed_expired =
         r.GetCounter("htdp_engine_jobs_shed_expired_total",
                      "Queued jobs shed because their deadline expired");
-    m->stolen = r.GetCounter("htdp_engine_jobs_stolen_total",
-                             "Jobs taken from another worker's deque");
-    m->steal_failures =
-        r.GetCounter("htdp_engine_steal_failures_total",
-                     "Steal sweeps that found the backlog already claimed");
     m->queue_depth =
         r.GetGauge("htdp_engine_queue_depth", "Jobs waiting in the queue");
     m->running =
@@ -100,45 +92,27 @@ void ObserveFitLatency(const std::string& tenant, double seconds) {
       ->Observe(seconds);
 }
 
-/// Scheduler shards, counters and coordination state shared by the Engine
-/// and every JobRecord. Held through shared_ptrs so a JobHandle's Cancel()
-/// can update the shards/counters directly -- and safely even after the
-/// Engine object is gone (by then stop is set and the shards empty, so
-/// Cancel degenerates to a no-op).
+/// Queue, counters and coordination state shared by the Engine and every
+/// JobRecord. Held through shared_ptrs so a JobHandle's Cancel() can update
+/// the queue/counters directly -- and safely even after the Engine object is
+/// gone (by then stop is set and the queue empty, so Cancel degenerates to a
+/// no-op).
 ///
-/// ### Work-stealing scheduler invariants (see docs/engine.md)
+/// ### Scheduler invariants (see docs/engine.md)
 ///
-/// - One WorkStealDeque per worker ("shard"). Submit pushes to one shard
-///   under `mu`; workers pop their own shard LIFO and steal from the others
-///   FIFO WITHOUT taking `mu` -- the deques carry their own locks, so the
-///   pop path contends per shard, not globally.
-/// - Ring membership is completion ownership: whichever path removes a
-///   record from its shard (worker pop, Cancel's Remove, Shutdown's
-///   DrainAll) is the unique path that completes and counts it. This
-///   replaces the old "records in the queue are only completed under mu"
-///   arbitration and keeps every job counted exactly once.
-/// - `queue_depth` is the global backlog estimate: incremented under `mu`
-///   just before the push (so work_cv waiters never miss work -- the
-///   predicate state changes inside the critical section), decremented
-///   atomically at every removal. Increment-before-push means the counter
-///   can transiently exceed the ring contents but never underflows.
-/// - `inflight` (guarded by `mu`) counts jobs from enqueue to completion --
-///   including the pop-to-RunJob handoff where a job is in no ring and not
-///   yet `running` -- so Drain() has an exact predicate.
-/// - Lock order: `mu` -> a shard's internal lock -> a record's mu. Workers
-///   may take a shard lock without `mu`, but never the reverse nesting.
+/// - One FIFO `queue`, guarded by `mu`: Submit appends, a worker pops the
+///   front.
+/// - Whoever takes a record out of `queue` under `mu` -- a worker's pop,
+///   Cancel's erase, Shutdown's sweep -- claims it (`running`) or completes
+///   it in that same critical section, so every job completes exactly once.
+/// - `running` counts claimed jobs until their completion publishes, so
+///   Drain()'s `queue.empty() && running == 0` is exact.
+/// - Lock order: `mu` -> a record's mu, never the reverse.
 struct EngineShared {
   std::mutex mu;
   std::condition_variable work_cv;  // backlog became non-empty / stopping
   std::condition_variable idle_cv;  // a job completed / left the backlog
-  std::vector<std::unique_ptr<WorkStealDeque<std::shared_ptr<JobRecord>>>>
-      shards;                        // one per worker, fixed at construction
-  std::vector<obs::Gauge*> depth_gauges;  // per-shard depth, worker label
-  std::atomic<std::size_t> queue_depth{0};
-  std::atomic<std::size_t> rr_next{0};  // round-robin cursor, untenanted jobs
-  std::atomic<std::size_t> steals{0};
-  std::atomic<std::size_t> steal_failures{0};
-  std::size_t inflight = 0;  // enqueued jobs not yet completed (guarded by mu)
+  std::deque<std::shared_ptr<JobRecord>> queue;  // FIFO backlog
   bool stop = false;
 
   /// Tenant-budget ledger (Options::budgets). Not owned; set once at Engine
@@ -174,13 +148,10 @@ struct EngineShared {
 /// hold it through a shared_ptr; its own mutex/cv make Wait() independent
 /// of the Engine's lifetime (the Engine completes all jobs before dying).
 ///
-/// Stage transitions (guarded by `mu`): kQueued -> kRunning -> kDone, or
-/// kQueued -> kDone directly when Cancel()/Shutdown() completes a job that
-/// never ran. Lock order: the EngineShared mu is always acquired before a
-/// record's mu, never the other way around.
+/// `done` and `result` are guarded by `mu` and set once, when the outcome
+/// is published. Lock order: the EngineShared mu is always acquired before
+/// a record's mu, never the other way around.
 struct JobRecord {
-  enum class Stage { kQueued, kRunning, kDone };
-
   FitJob job;
   const Solver* solver = nullptr;  // resolved at Submit; null on lookup error
   std::shared_ptr<EngineShared> engine;  // null once completed inline
@@ -188,18 +159,13 @@ struct JobRecord {
   bool has_deadline = false;
   Clock::time_point deadline;
 
-  /// Shard the job was enqueued on; -1 until enqueued (inline-completed
-  /// jobs never get one). Written once in Submit before the record is
-  /// published to the shard, read by Cancel under the engine mutex.
-  int shard_index = -1;
-
   /// obs::NowNanos() at Submit entry; start edge of the engine.queue_wait
   /// span and the origin of the per-tenant fit-latency observation.
   std::uint64_t submit_ns = 0;
 
   /// True while the job holds a tenant-budget reservation. Only the path
-  /// that completes the job (the unique Complete() winner) reads or clears
-  /// it, so no extra synchronization is needed.
+  /// that completes the job (see the EngineShared invariants) reads or
+  /// clears it, so no extra synchronization is needed.
   bool charged = false;
 
   /// The open reservation backing `charged` (BudgetManager::Reserve at
@@ -231,31 +197,18 @@ struct JobRecord {
 
   std::mutex mu;
   std::condition_variable cv;
-  Stage stage = Stage::kQueued;
+  bool done = false;
   std::optional<StatusOr<FitResult>> result;
 
-  /// Publishes the outcome unless the job already completed (e.g. a
-  /// queued-job Cancel() raced with shutdown). Returns whether this call
-  /// won.
-  bool Complete(StatusOr<FitResult> outcome) {
+  /// Publishes the outcome and wakes Wait(). Called exactly once, by the
+  /// path that owns the job's completion.
+  void Complete(StatusOr<FitResult> outcome) {
     {
       const std::lock_guard<std::mutex> lock(mu);
-      if (stage == Stage::kDone) return false;
       result.emplace(std::move(outcome));
-      stage = Stage::kDone;
+      done = true;
     }
     cv.notify_all();
-    return true;
-  }
-
-  /// Queued -> Running claim by the worker that popped the record from a
-  /// shard. Ring membership already made that worker the unique completion
-  /// owner, so this "cannot" fail; the check stays as a defensive guard.
-  bool TryStartRunning() {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (stage == Stage::kDone) return false;
-    stage = Stage::kRunning;
-    return true;
   }
 
   std::string Describe() const {
@@ -280,19 +233,6 @@ void ReleaseTenantInflightLocked(EngineShared& engine, JobRecord& record) {
   }
 }
 
-std::size_t ShardForTenant(const std::string& tenant,
-                           std::size_t shard_count) {
-  // FNV-1a 64-bit: deterministic across platforms and standard-library
-  // versions (std::hash is not), so tests and capacity planning can predict
-  // tenant placement.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : tenant) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h % (shard_count > 0 ? shard_count : 1));
-}
-
 }  // namespace engine_internal
 
 using engine_internal::EngineShared;
@@ -307,7 +247,7 @@ const std::string& JobHandle::tag() const {
 bool JobHandle::done() const {
   HTDP_CHECK(record_ != nullptr) << "JobHandle is empty";
   const std::lock_guard<std::mutex> lock(record_->mu);
-  return record_->stage == JobRecord::Stage::kDone;
+  return record_->done;
 }
 
 void JobHandle::Cancel() {
@@ -315,61 +255,40 @@ void JobHandle::Cancel() {
   record_->cancel.store(true, std::memory_order_release);
   const std::shared_ptr<EngineShared> engine = record_->engine;
   if (engine == nullptr) return;  // completed inline at Submit
-  // A job that has not started yet completes right here -- removed from
-  // its shard with the counters updated -- so Wait()/done()/stats() all
-  // observe the cancellation immediately, not after a worker drains to it.
-  // A running job only gets the flag; the should_stop hook picks it up at
-  // the next iteration boundary.
-  //
-  // Ring membership is the arbitration: workers pop shards WITHOUT the
-  // engine mutex, so a stage check alone cannot decide who completes the
-  // job -- whichever path removes the record from its shard (this Remove, a
-  // worker pop, Shutdown's sweep) is the unique completion owner. Remove
-  // failing means a worker already claimed the job (it observes `cancel` at
-  // its pre-run check or next iteration poll) or it already completed.
+  // A job that has not started yet completes right here -- erased from the
+  // queue with the counters updated -- so Wait()/done()/stats() all observe
+  // the cancellation immediately, not after a worker drains to it. A job
+  // missing from the queue was already claimed by a worker (it observes
+  // `cancel` at its pre-run check or next iteration poll) or completed.
   bool completed = false;
   {
     const std::lock_guard<std::mutex> engine_lock(engine->mu);
-    if (record_->shard_index >= 0 &&
-        engine->shards[static_cast<std::size_t>(record_->shard_index)]
-            ->Remove(record_)) {
-      const std::size_t depth =
-          engine->queue_depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-      // Removing the record from its ring made this path the unique
-      // completion owner; close the reservation before the result becomes
-      // observable so Wait() never races the refund.
+    const auto it =
+        std::find(engine->queue.begin(), engine->queue.end(), record_);
+    if (it != engine->queue.end()) {
+      engine->queue.erase(it);
+      // Close the reservation before the result becomes observable so
+      // Wait() never races the refund.
       record_->RefundIfCharged(engine->budgets);  // cancelled before running
-      {
-        const std::lock_guard<std::mutex> record_lock(record_->mu);
-        record_->result.emplace(Status::Cancelled(
-            record_->Describe() + " cancelled before it started"));
-        record_->stage = JobRecord::Stage::kDone;
-      }
+      record_->Complete(Status::Cancelled(record_->Describe() +
+                                          " cancelled before it started"));
       ++engine->completed;
       ++engine->cancelled;
-      --engine->inflight;
       engine_internal::Met().completed->Increment();
       engine_internal::Met().cancelled->Increment();
-      engine_internal::Met().queue_depth->Set(static_cast<double>(depth));
-      engine->depth_gauges[static_cast<std::size_t>(record_->shard_index)]
-          ->Set(static_cast<double>(
-              engine->shards[static_cast<std::size_t>(record_->shard_index)]
-                  ->size()));
+      engine_internal::Met().queue_depth->Set(
+          static_cast<double>(engine->queue.size()));
       ReleaseTenantInflightLocked(*engine, *record_);
       completed = true;
     }
   }
-  if (completed) {
-    record_->cv.notify_all();
-    engine->idle_cv.notify_all();
-  }
+  if (completed) engine->idle_cv.notify_all();
 }
 
 const StatusOr<FitResult>& JobHandle::Wait() const& {
   HTDP_CHECK(record_ != nullptr) << "JobHandle is empty";
   std::unique_lock<std::mutex> lock(record_->mu);
-  record_->cv.wait(
-      lock, [&] { return record_->stage == JobRecord::Stage::kDone; });
+  record_->cv.wait(lock, [&] { return record_->done; });
   return *record_->result;
 }
 
@@ -390,26 +309,9 @@ Engine::Engine(Options options)
   const int workers =
       options.workers > 0 ? options.workers : NumWorkerThreads();
   worker_count_ = std::max(workers, 1);
-  // One deque per worker. The hard ring bound is the global queue cap:
-  // admission sheds at max_queue_depth total, so no single shard can ever
-  // be asked to hold more (PushBack failing is an invariant violation, see
-  // work_steal_deque.h). Per-shard depth gauges carry the worker index as
-  // a label so dashboards can see placement skew (a flooding tenant's
-  // shard) at a glance.
-  state_->shards.reserve(static_cast<std::size_t>(worker_count_));
-  state_->depth_gauges.reserve(static_cast<std::size_t>(worker_count_));
-  for (int i = 0; i < worker_count_; ++i) {
-    state_->shards.push_back(
-        std::make_unique<WorkStealDeque<std::shared_ptr<JobRecord>>>(
-            /*initial_capacity=*/8,
-            /*max_capacity=*/options.max_queue_depth));
-    state_->depth_gauges.push_back(obs::MetricRegistry::Global().GetGauge(
-        "htdp_engine_worker_queue_depth", "Jobs queued on one worker's deque",
-        {{"worker", std::to_string(i)}}));
-  }
   workers_.reserve(static_cast<std::size_t>(worker_count_));
   for (int i = 0; i < worker_count_; ++i) {
-    workers_.emplace_back([this, i] { WorkerMain(i); });
+    workers_.emplace_back([this] { WorkerMain(); });
   }
   // Info-style series (value pinned to 1, the payload lives in the labels):
   // tags every metrics scrape with the SIMD ISA the kernel dispatcher
@@ -530,30 +432,9 @@ JobHandle Engine::Submit(FitJob job) {
       shed = true;
     } else {
       record->engine = state_;
-      // Shard choice: tenant-named jobs hash to a stable shard (tenant
-      // isolation -- one tenant's burst queues on one deque and only
-      // reaches other workers by stealing); untenanted jobs round-robin
-      // for even placement.
-      const std::size_t shard =
-          record->job.tenant.empty()
-              ? state_->rr_next.fetch_add(1, std::memory_order_relaxed) %
-                    state_->shards.size()
-              : engine_internal::ShardForTenant(record->job.tenant,
-                                                state_->shards.size());
-      record->shard_index = static_cast<int>(shard);
-      ++state_->inflight;
-      // Increment-before-push: a worker's pop (which runs without this
-      // mutex) must never decrement queue_depth before the matching
-      // increment, or the unsigned counter would transiently wrap. The
-      // whole enqueue happens under `mu`, so work_cv waiters still cannot
-      // observe the backlog without the predicate being true.
-      const std::size_t depth =
-          state_->queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
-      HTDP_CHECK(state_->shards[shard]->PushBack(record))
-          << "shard " << shard << " over the admission-guaranteed bound";
-      engine_internal::Met().queue_depth->Set(static_cast<double>(depth));
-      state_->depth_gauges[shard]->Set(
-          static_cast<double>(state_->shards[shard]->size()));
+      state_->queue.push_back(record);
+      engine_internal::Met().queue_depth->Set(
+          static_cast<double>(state_->queue.size()));
       if (!record->job.tenant.empty() &&
           state_->max_inflight_per_tenant > 0) {
         ++state_->tenant_inflight[record->job.tenant];
@@ -581,8 +462,7 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
   // off once a drain cycle brings the queue back to queue_resume_depth, so
   // admission does not flap once per popped job at the boundary.
   if (state_->max_queue_depth > 0) {
-    const std::size_t depth =
-        state_->queue_depth.load(std::memory_order_relaxed);
+    const std::size_t depth = state_->queue.size();
     if (state_->overloaded && depth <= state_->queue_resume_depth) {
       state_->overloaded = false;
       engine_internal::Met().overloaded->Set(0.0);
@@ -615,108 +495,45 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
   return Status::Ok();
 }
 
-std::shared_ptr<JobRecord> Engine::DequeueWork(int worker_index) {
-  auto& shards = state_->shards;
-  std::shared_ptr<JobRecord> record;
-  // Own shard first, LIFO: the most recently queued job's problem/spec are
-  // still warm, and a worker keeps servicing its own submissions without
-  // touching anyone else's lock.
-  if (shards[static_cast<std::size_t>(worker_index)]->PopBack(&record)) {
-    state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    state_->depth_gauges[static_cast<std::size_t>(worker_index)]->Set(
-        static_cast<double>(
-            shards[static_cast<std::size_t>(worker_index)]->size()));
-    return record;
-  }
-  if (state_->queue_depth.load(std::memory_order_relaxed) == 0) {
-    return nullptr;  // genuinely idle, not a failed steal
-  }
-  // Backlog exists elsewhere: sweep the other shards FIFO (oldest job
-  // first, preserving rough submission order for stolen work). A sweep that
-  // comes up empty -- every observed job was claimed by its owner or
-  // another thief first -- counts as one steal failure; it is contention
-  // telemetry, not an error.
-  for (int k = 1; k < worker_count_; ++k) {
-    const int victim = (worker_index + k) % worker_count_;
-    if (shards[static_cast<std::size_t>(victim)]->PopFront(&record)) {
-      state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      state_->steals.fetch_add(1, std::memory_order_relaxed);
-      engine_internal::Met().stolen->Increment();
-      state_->depth_gauges[static_cast<std::size_t>(victim)]->Set(
-          static_cast<double>(shards[static_cast<std::size_t>(victim)]
-                                  ->size()));
-      return record;
-    }
-  }
-  state_->steal_failures.fetch_add(1, std::memory_order_relaxed);
-  engine_internal::Met().steal_failures->Increment();
-  return nullptr;
-}
-
-void Engine::WorkerMain(int worker_index) {
+void Engine::WorkerMain() {
   for (;;) {
-    std::shared_ptr<JobRecord> record = DequeueWork(worker_index);
-    if (record == nullptr) {
-      std::unique_lock<std::mutex> lock(state_->mu);
-      state_->work_cv.wait(lock, [&] {
-        return state_->stop ||
-               state_->queue_depth.load(std::memory_order_relaxed) > 0;
-      });
-      if (state_->stop &&
-          state_->queue_depth.load(std::memory_order_relaxed) == 0) {
-        return;  // Shutdown swept the shards; nothing left to run
-      }
-      continue;
-    }
-    // The pop made this worker the record's unique completion owner (ring
-    // membership, see EngineShared). Deadline shedding and the running
-    // claim still happen under the engine mutex so the counters, Drain()'s
-    // inflight and stats() stay consistent.
+    std::shared_ptr<JobRecord> record;
     bool shed = false;
-    bool claimed = false;
     {
-      const std::lock_guard<std::mutex> lock(state_->mu);
-      engine_internal::Met().queue_depth->Set(static_cast<double>(
-          state_->queue_depth.load(std::memory_order_relaxed)));
+      std::unique_lock<std::mutex> lock(state_->mu);
+      state_->work_cv.wait(
+          lock, [&] { return state_->stop || !state_->queue.empty(); });
+      if (state_->queue.empty()) return;  // stopping; Shutdown swept the queue
+      record = std::move(state_->queue.front());
+      state_->queue.pop_front();
+      engine_internal::Met().queue_depth->Set(
+          static_cast<double>(state_->queue.size()));
       // Deadline-aware shedding: a job whose wall-clock deadline already
       // expired while it sat queued is completed right here -- the worker
       // immediately pops the next job instead of spinning up RunJob for a
-      // fit that could only ever report kDeadlineExceeded.
+      // fit that could only ever report kDeadlineExceeded. The reservation
+      // closes BEFORE the completion publishes: a waiter that sees the shed
+      // finds the budget already returned.
       if (record->has_deadline &&
           engine_internal::Clock::now() >= record->deadline) {
-        // The pop made this worker the record's unique completion owner,
-        // so the reservation closes BEFORE the completion publishes: a
-        // waiter that sees the shed finds the budget already returned.
         record->RefundIfCharged(state_->budgets);  // never ran
-        shed = record->Complete(Status::DeadlineExceeded(
+        record->Complete(Status::DeadlineExceeded(
             record->Describe() + " deadline expired while queued; shed"));
-        if (shed) {
-          ++state_->completed;
-          ++state_->deadline_exceeded;
-          ++state_->shed_expired;
-          engine_internal::Met().completed->Increment();
-          engine_internal::Met().deadline_exceeded->Increment();
-          engine_internal::Met().shed_expired->Increment();
-          ReleaseTenantInflightLocked(*state_, *record);
-        }
-        --state_->inflight;
-      } else if (record->TryStartRunning()) {
-        claimed = true;
-        ++state_->running;
+        ++state_->completed;
+        ++state_->deadline_exceeded;
+        ++state_->shed_expired;
+        engine_internal::Met().completed->Increment();
+        engine_internal::Met().deadline_exceeded->Increment();
+        engine_internal::Met().shed_expired->Increment();
+        ReleaseTenantInflightLocked(*state_, *record);
+        shed = true;
+      } else {
+        ++state_->running;  // claimed: no other path can complete it now
         engine_internal::Met().running->Set(
             static_cast<double>(state_->running));
-      } else {
-        // Defensively balance the books for a record that was somehow
-        // completed despite being in a ring; RunJob's finish normally
-        // decrements inflight for claimed records.
-        --state_->inflight;
       }
     }
-    if (claimed) {
-      RunJob(*record);
-      state_->idle_cv.notify_all();
-      continue;
-    }
+    if (!shed) RunJob(*record);
     state_->idle_cv.notify_all();
   }
 }
@@ -779,7 +596,6 @@ void Engine::RunJob(JobRecord& record) {
       const std::lock_guard<std::mutex> lock(state_->mu);
       record.Complete(std::move(outcome));
       --state_->running;
-      --state_->inflight;
       ++state_->completed;
       ++((*state_).*counter);
       ReleaseTenantInflightLocked(*state_, record);
@@ -866,12 +682,12 @@ void Engine::RunJob(JobRecord& record) {
 }
 
 void Engine::Drain() {
-  // `inflight` counts every enqueued job until its completion is published
-  // -- including the window where a worker has popped a job but not yet
-  // claimed it as running, which no (queue empty && running == 0) predicate
-  // could cover under lock-free pops.
+  // Exact: a worker pops and claims a job in one critical section, and
+  // RunJob publishes the result and decrements `running` in another.
   std::unique_lock<std::mutex> lock(state_->mu);
-  state_->idle_cv.wait(lock, [&] { return state_->inflight == 0; });
+  state_->idle_cv.wait(lock, [&] {
+    return state_->queue.empty() && state_->running == 0;
+  });
 }
 
 void Engine::Shutdown() {
@@ -882,34 +698,22 @@ void Engine::Shutdown() {
     const std::lock_guard<std::mutex> lock(state_->mu);
     if (state_->stop && workers_.empty()) return;  // already shut down
     state_->stop = true;
-    // Sweep every shard and complete the orphans while still holding the
-    // engine mutex (engine mu -> shard lock -> record mu is the global lock
-    // order): draining a ring makes this path each orphan's unique
-    // completion owner, and the results are published before `inflight`
-    // drains out of Drain()'s predicate. Jobs already popped by a worker
-    // are not orphans -- the join below waits for them to finish.
-    std::size_t swept = 0;
-    for (std::size_t s = 0; s < state_->shards.size(); ++s) {
-      for (const std::shared_ptr<JobRecord>& record :
-           state_->shards[s]->DrainAll()) {
-        record->RefundIfCharged(state_->budgets);  // never ran
-        record->Complete(Status::Cancelled(record->Describe() +
-                                           " cancelled by Engine shutdown"));
-        ++state_->completed;
-        ++state_->cancelled;
-        --state_->inflight;
-        ++swept;
-        engine_internal::Met().completed->Increment();
-        engine_internal::Met().cancelled->Increment();
-        ReleaseTenantInflightLocked(*state_, *record);
-      }
-      state_->depth_gauges[s]->Set(0.0);
+    // Complete the queued orphans while still holding the engine mutex:
+    // taking them out of the queue makes this path their unique completion
+    // owner. Jobs a worker already claimed are not orphans -- the join below
+    // waits for them to finish.
+    for (const std::shared_ptr<JobRecord>& record : state_->queue) {
+      record->RefundIfCharged(state_->budgets);  // never ran
+      record->Complete(Status::Cancelled(record->Describe() +
+                                         " cancelled by Engine shutdown"));
+      ++state_->completed;
+      ++state_->cancelled;
+      engine_internal::Met().completed->Increment();
+      engine_internal::Met().cancelled->Increment();
+      ReleaseTenantInflightLocked(*state_, *record);
     }
-    // fetch_sub, not store: a worker's concurrent pop may be decrementing
-    // the same counter for a job this sweep never saw.
-    state_->queue_depth.fetch_sub(swept, std::memory_order_relaxed);
-    engine_internal::Met().queue_depth->Set(static_cast<double>(
-        state_->queue_depth.load(std::memory_order_relaxed)));
+    state_->queue.clear();
+    engine_internal::Met().queue_depth->Set(0.0);
   }
   state_->work_cv.notify_all();
   state_->idle_cv.notify_all();
@@ -929,16 +733,9 @@ EngineStats Engine::stats() const {
   stats.budget_rejected = state_->budget_rejected;
   stats.unavailable_rejected = state_->unavailable_rejected;
   stats.shed_expired = state_->shed_expired;
-  stats.queue_depth = state_->queue_depth.load(std::memory_order_relaxed);
+  stats.queue_depth = state_->queue.size();
   stats.running = state_->running;
-  stats.steals = state_->steals.load(std::memory_order_relaxed);
-  stats.steal_failures =
-      state_->steal_failures.load(std::memory_order_relaxed);
   stats.overloaded = state_->overloaded;
-  stats.worker_queue_depths.reserve(state_->shards.size());
-  for (const auto& shard : state_->shards) {
-    stats.worker_queue_depths.push_back(shard->size());
-  }
   stats.uptime_seconds =
       engine_internal::MonotonicSeconds() - state_->start_seconds;
   stats.jobs_per_second = stats.uptime_seconds > 0.0
@@ -951,7 +748,7 @@ EngineStats Engine::stats() const {
 std::uint32_t Engine::SuggestedRetryAfterMs() const {
   const std::lock_guard<std::mutex> lock(state_->mu);
   return RetryAfterHintMs(
-      state_->queue_depth.load(std::memory_order_relaxed) + state_->running,
+      state_->queue.size() + state_->running,
       worker_count_);
 }
 

@@ -128,15 +128,6 @@ struct FitJob {
 namespace engine_internal {
 struct EngineShared;
 struct JobRecord;
-
-/// Shard (= worker deque) that jobs from `tenant` land on under the
-/// work-stealing scheduler. Deterministic FNV-1a hash, not std::hash, so
-/// tests and capacity planning can predict placement across platforms: one
-/// tenant's burst always queues on one shard, and other workers only touch
-/// it by stealing -- tenant floods degrade one deque, not every worker's
-/// submission path. Untenanted jobs round-robin instead (see
-/// Engine::Submit).
-std::size_t ShardForTenant(const std::string& tenant, std::size_t shard_count);
 }  // namespace engine_internal
 
 /// Aggregate Engine counters. Snapshot via Engine::stats().
@@ -157,17 +148,13 @@ struct EngineStats {
                                       // `deadline_exceeded`)
   std::size_t queue_depth = 0;        // submitted, not yet picked up
   std::size_t running = 0;            // currently executing
-  std::size_t steals = 0;             // jobs a worker took from another
-                                      // worker's deque
-  std::size_t steal_failures = 0;     // full steal sweeps that found the
-                                      // backlog already claimed
+  /// Always 0: workers share one FIFO queue, so there is nothing to steal.
+  /// Reserved for removal in wire version 2; the version-1 STATS layout
+  /// and its readers still name it.
+  std::size_t steals = 0;
   bool overloaded = false;            // watermark latch currently shedding
   double uptime_seconds = 0.0;        // since the Engine started
   double jobs_per_second = 0.0;       // completed / uptime
-
-  /// Per-worker deque depths (index = worker), snapshotted shard by shard;
-  /// their sum can transiently disagree with queue_depth by in-motion jobs.
-  std::vector<std::size_t> worker_queue_depths;
 };
 
 /// Deterministic retry hint for a shed request: ~50 ms of expected service
@@ -220,13 +207,10 @@ class JobHandle {
   std::shared_ptr<engine_internal::JobRecord> record_;
 };
 
-/// The concurrent fit service. Owns a fixed pool of job-worker threads and
-/// one work-stealing deque per worker: Submit places each job on one deque
-/// (round-robin, or by tenant hash for tenant-named jobs), the owning
-/// worker pops LIFO, and idle workers steal FIFO from the others -- so the
-/// pop path contends on per-shard locks instead of one global queue lock
-/// while backlog still drains in rough submission order. See
-/// docs/engine.md for the scheduler design. Thread-safe:
+/// The concurrent fit service. Owns a fixed pool of job-worker threads
+/// fed by one FIFO queue under the engine mutex: Submit appends, and a
+/// worker pops the front and claims (or sheds) the job in the same
+/// critical section. See docs/engine.md for the design. Thread-safe:
 /// Submit/Cancel/Wait/stats may be called from any thread.
 class Engine {
  public:
@@ -291,11 +275,7 @@ class Engine {
   int workers() const { return worker_count_; }
 
  private:
-  void WorkerMain(int worker_index);
-  /// Pops work for `worker_index`: its own deque LIFO first, then a FIFO
-  /// steal sweep over the other shards. Null when no job could be claimed
-  /// (sleep on work_cv and retry). Updates queue_depth/steal counters.
-  std::shared_ptr<engine_internal::JobRecord> DequeueWork(int worker_index);
+  void WorkerMain();
   void RunJob(engine_internal::JobRecord& record);
 
   /// Overload admission (queue watermarks + tenant inflight cap). Called

@@ -1,6 +1,8 @@
 #include "api/solver_common.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include "robust/shrinkage.h"
@@ -89,6 +91,21 @@ StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(
   return FoldedRobustPlan{
       RobustGradientEstimator(resolved.scale, resolved.beta, resolved.simd),
       SplitIntoFolds(data, static_cast<std::size_t>(resolved.iterations))};
+}
+
+Status CheckPeelingNoiseScale(const Solver& solver,
+                              const PeelingOptions& options) {
+  const double noise_scale = PeelingNoiseScale(options);
+  if (noise_scale >= std::numeric_limits<double>::min() &&
+      noise_scale <= kMaxPeelingNoiseScale) {
+    return Status::Ok();
+  }
+  char shown[32];
+  std::snprintf(shown, sizeof(shown), "%g", noise_scale);
+  return Status::InvalidProblem(
+      solver.name() + ": Peeling noise scale " + shown +
+      " is outside [DBL_MIN, 1e298]; the shrinkage, scale or step is too "
+      "extreme to release");
 }
 
 Dataset ShrinkDataset(const DatasetView& view, double threshold) {

@@ -68,6 +68,15 @@ struct FoldedRobustPlan {
 StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(const DatasetView& data,
                                                    const SolverSpec& resolved);
 
+/// Up-front check of one Peeling release (alg3, alg5), run before the first
+/// mechanism fires: kInvalidProblem unless PeelingNoiseScale(options) is a
+/// normal double no larger than kMaxPeelingNoiseScale. Extreme but finite
+/// knobs otherwise overflow it (alg3's K^2 at shrinkage 1e200) or push it
+/// subnormal (alg5 at a pinned Catoni scale of 1e-320), and Peel() would
+/// find no finite score to select.
+Status CheckPeelingNoiseScale(const Solver& solver,
+                              const PeelingOptions& options);
+
 /// Entrywise shrinkage x~ = sign(x) min(|x|, K) of features and labels
 /// (step 2 of Algorithms 2 and 3), copying only the view's rows so prefix
 /// fits shrink exactly the samples they train on. Copy shrunken data only

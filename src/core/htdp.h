@@ -47,7 +47,6 @@
 #include "core/minimax.h"
 #include "core/peeling.h"
 #include "core/robust_gradient.h"
-#include "data/csv.h"
 #include "data/dataset.h"
 #include "data/real_world_sim.h"
 #include "data/synthetic.h"
@@ -68,7 +67,6 @@
 #include "losses/loss.h"
 #include "losses/mean_loss.h"
 #include "losses/squared_loss.h"
-#include "optim/dp_fw_regular.h"
 #include "optim/dp_sgd.h"
 #include "optim/frank_wolfe.h"
 #include "optim/iht.h"

@@ -9,6 +9,13 @@
 
 namespace htdp {
 
+double PeelingNoiseScale(const PeelingOptions& options) {
+  return 2.0 * options.linf_sensitivity *
+         std::sqrt(3.0 * static_cast<double>(options.sparsity) *
+                   std::log(1.0 / options.delta)) /
+         options.epsilon;
+}
+
 PeelingResult Peel(const Vector& v, const PeelingOptions& options, Rng& rng,
                    PrivacyLedger* ledger, int fold) {
   PeelingResult result;
@@ -27,10 +34,7 @@ void PeelInto(const Vector& v, const PeelingOptions& options, Rng& rng,
 
   const std::size_t d = v.size();
   const std::size_t s = options.sparsity;
-  const double noise_scale =
-      2.0 * options.linf_sensitivity *
-      std::sqrt(3.0 * static_cast<double>(s) * std::log(1.0 / options.delta)) /
-      options.epsilon;
+  const double noise_scale = PeelingNoiseScale(options);
 
   result->noise_scale = noise_scale;
   result->selected.clear();

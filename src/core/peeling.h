@@ -35,6 +35,17 @@ struct PeelingResult {
   double noise_scale = 0.0;
 };
 
+/// The per-coordinate Laplace scale Peel() draws with:
+/// 2 lambda sqrt(3 s log(1/delta)) / epsilon.
+double PeelingNoiseScale(const PeelingOptions& options);
+
+/// Largest noise scale at which Peel()'s selection cannot come up empty: a
+/// Laplace draw is at most ~37 scales in magnitude (the log of a
+/// double-precision uniform), so below this scale every draw stays under
+/// 4e299 and the noisy score of any non-NaN coordinate beats the
+/// selection's -1e300 sentinel.
+inline constexpr double kMaxPeelingNoiseScale = 1e298;
+
 /// Runs Peeling on `v`. Records one (epsilon, delta) entry in `ledger` when
 /// provided; `fold` tags the ledger entry (see PrivacyLedger).
 PeelingResult Peel(const Vector& v, const PeelingOptions& options, Rng& rng,

@@ -199,24 +199,17 @@ int RunStats(const Cli& cli, htdp::net::Client& client) {
                 "\"budget_rejected\": %zu, \"queue_depth\": %zu, "
                 "\"running\": %zu, \"unavailable_rejected\": %zu, "
                 "\"shed_expired\": %zu, \"overloaded\": %s, "
-                "\"steals\": %zu, \"steal_failures\": %zu, "
                 "\"connections\": %" PRIu64 ", "
                 "\"retained_jobs\": %" PRIu64 ", \"draining\": %s, "
-                "\"worker_queue_depths\": [",
+                "\"tenants\": [",
                 stats.engine.submitted, stats.engine.completed,
                 stats.engine.succeeded, stats.engine.failed,
                 stats.engine.cancelled, stats.engine.budget_rejected,
                 stats.engine.queue_depth, stats.engine.running,
                 stats.engine.unavailable_rejected, stats.engine.shed_expired,
                 stats.engine.overloaded ? "true" : "false",
-                stats.engine.steals, stats.engine.steal_failures,
                 stats.connections, stats.retained_jobs,
                 stats.draining ? "true" : "false");
-    for (std::size_t i = 0; i < stats.engine.worker_queue_depths.size(); ++i) {
-      std::printf("%s%zu", i == 0 ? "" : ", ",
-                  stats.engine.worker_queue_depths[i]);
-    }
-    std::printf("], \"tenants\": [");
     for (std::size_t i = 0; i < stats.tenants.size(); ++i) {
       const auto& row = stats.tenants[i];
       std::printf("%s{\"name\": \"%s\", \"epsilon_total\": %g, "
@@ -237,13 +230,6 @@ int RunStats(const Cli& cli, htdp::net::Client& client) {
   std::printf("overload: %zu shed at submit, %zu expired in queue%s\n",
               stats.engine.unavailable_rejected, stats.engine.shed_expired,
               stats.engine.overloaded ? ", SHEDDING NOW" : "");
-  std::printf("scheduler: %zu steals, %zu failed sweeps, per-worker depth [",
-              stats.engine.steals, stats.engine.steal_failures);
-  for (std::size_t i = 0; i < stats.engine.worker_queue_depths.size(); ++i) {
-    std::printf("%s%zu", i == 0 ? "" : " ",
-                stats.engine.worker_queue_depths[i]);
-  }
-  std::printf("]\n");
   std::printf("daemon: %" PRIu64 " connections, %" PRIu64
               " retained jobs%s\n",
               stats.connections, stats.retained_jobs,

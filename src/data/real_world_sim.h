@@ -16,7 +16,8 @@ namespace htdp {
 /// paper's (n, d), heavy-tailed skewed features with correlated coordinates
 /// (a low-rank lognormal factor model), and a planted linear / logistic
 /// signal with heavy-tailed residuals. See DESIGN.md section 3 for the
-/// substitution rationale. data/csv.h loads the genuine files when present.
+/// substitution rationale. The library ships no file loader: to run on the
+/// genuine files, parse them into a Dataset (x rows, y labels) yourself.
 struct RealWorldSpec {
   std::string name;
   std::size_t n = 0;  // paper's sample count

@@ -390,14 +390,13 @@ void EncodeStats(WireWriter& w, const StatsReply& msg) {
   w.U64(msg.engine.unavailable_rejected);
   w.U64(msg.engine.shed_expired);
   w.Bool(msg.engine.overloaded);
-  // Work-stealing scheduler telemetry, appended in a further revision under
-  // the same trailing-bytes rule.
-  w.U64(msg.engine.steals);
-  w.U64(msg.engine.steal_failures);
-  w.U32(static_cast<std::uint32_t>(msg.engine.worker_queue_depths.size()));
-  for (const std::size_t depth : msg.engine.worker_queue_depths) {
-    w.U64(depth);
-  }
+  // Scheduler section of the version-1 layout: u64 steals, u64
+  // steal_failures, u32 worker_count + one u64 depth per worker. The Engine
+  // has one FIFO queue and no per-worker state, so it is always written as
+  // zeros; the section is reserved for removal in version 2.
+  w.U64(0);
+  w.U64(0);
+  w.U32(0);
 }
 
 Status DecodeStats(WireReader& r, StatsReply* out) {
@@ -448,21 +447,16 @@ Status DecodeStats(WireReader& r, StatsReply* out) {
     out->engine.shed_expired = static_cast<std::size_t>(counter);
     HTDP_RETURN_IF_ERROR(r.Bool(&out->engine.overloaded, "stats.overloaded"));
   }
-  // Work-stealing scheduler telemetry from newer daemons.
+  // Scheduler section (always zeros from current daemons, real counts from
+  // older ones): read for framing and discarded.
   out->engine.steals = 0;
-  out->engine.steal_failures = 0;
-  out->engine.worker_queue_depths.clear();
   if (r.remaining() > 0) {
     HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.steals"));
-    out->engine.steals = static_cast<std::size_t>(counter);
     HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.steal_failures"));
-    out->engine.steal_failures = static_cast<std::size_t>(counter);
     std::uint32_t workers = 0;
     HTDP_RETURN_IF_ERROR(r.U32(&workers, "stats.worker_count"));
     for (std::uint32_t i = 0; i < workers; ++i) {
       HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.worker_queue_depth"));
-      out->engine.worker_queue_depths.push_back(
-          static_cast<std::size_t>(counter));
     }
   }
   return Status::Ok();

@@ -488,6 +488,30 @@ TEST(Serialize, StatsAndSolverListAndErrorRoundTrip) {
   EXPECT_EQ(stats_out.tenants[0].spent.epsilon, 1.5);
   EXPECT_TRUE(stats_out.draining);
 
+  // The version-1 scheduler section closes the frame: u64 steals, u64
+  // steal_failures, u32 worker_count -- all zero now that the Engine has no
+  // per-worker deques.
+  const std::vector<std::uint8_t>& bytes = w1.bytes();
+  ASSERT_GE(bytes.size(), 20u);
+  for (std::size_t i = bytes.size() - 20; i < bytes.size(); ++i) {
+    EXPECT_EQ(bytes[i], 0u) << i;
+  }
+  // An older daemon's filled-in section still decodes, and is discarded.
+  WireWriter old_daemon;
+  for (std::size_t i = 0; i + 20 < bytes.size(); ++i) old_daemon.U8(bytes[i]);
+  old_daemon.U64(7);  // steals
+  old_daemon.U64(2);  // steal_failures
+  old_daemon.U32(2);  // worker_count
+  old_daemon.U64(3);
+  old_daemon.U64(4);
+  WireReader r_old(old_daemon.bytes());
+  StatsReply old_out;
+  ASSERT_TRUE(DecodeStats(r_old, &old_out).ok());
+  EXPECT_EQ(r_old.remaining(), 0u);
+  EXPECT_EQ(old_out.engine.submitted, 10u);
+  EXPECT_EQ(old_out.engine.steals, 0u);
+  EXPECT_TRUE(old_out.draining);
+
   SolverListReply list;
   list.solvers.push_back({"alg1_dp_fw", "Frank-Wolfe"});
   list.solvers.push_back({"alg4_peeling", "Peeling"});

@@ -1,10 +1,6 @@
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
-#include <fstream>
-#include <string>
 
-#include "data/csv.h"
 #include "data/dataset.h"
 #include "data/real_world_sim.h"
 #include "data/synthetic.h"
@@ -320,43 +316,6 @@ TEST(RealWorldSimTest, FeaturesAreHeavyTailedAndCorrelated) {
   }
   const double corr = c01 / std::sqrt(c00 * c11);
   EXPECT_GT(std::abs(corr), 0.02);
-}
-
-TEST(CsvTest, RoundTripWithHeaderAndLastColumnLabel) {
-  const std::string path = ::testing::TempDir() + "/htdp_csv_test.csv";
-  {
-    std::ofstream out(path);
-    out << "a,b,label\n";
-    out << "1.0,2.0,3.0\n";
-    out << "4.0,5.0,6.0\n";
-    out << "bad,row,skipped\n";
-    out << "7.0,8.0,9.0\n";
-  }
-  const auto data = LoadCsv(path, -1, /*skip_header=*/true);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->size(), 3u);
-  EXPECT_EQ(data->dim(), 2u);
-  EXPECT_EQ(data->y[1], 6.0);
-  EXPECT_EQ(data->x(2, 0), 7.0);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, FirstColumnLabel) {
-  const std::string path = ::testing::TempDir() + "/htdp_csv_test2.csv";
-  {
-    std::ofstream out(path);
-    out << "10,1,2\n20,3,4\n";
-  }
-  const auto data = LoadCsv(path, 0, /*skip_header=*/false);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->y[0], 10.0);
-  EXPECT_EQ(data->y[1], 20.0);
-  EXPECT_EQ(data->x(1, 1), 4.0);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(LoadCsv("/nonexistent/htdp.csv", -1, false).has_value());
 }
 
 }  // namespace

@@ -270,6 +270,35 @@ TEST(TryFitStatusTest, NoUserErrorAborts) {
             << fit.status().message();
       }
     }
+    // Finite but extreme knobs. Each used to abort mid-fit -- the baseline
+    // in its ball projection, alg3/alg5 in peeling, which found no finite
+    // noisy score -- and must now fail validation before the first release,
+    // so the observer never sees an iteration.
+    struct ExtremeKnob {
+      const char* solver;
+      const char* field;
+      double SolverSpec::*member;
+      double value;
+    };
+    const ExtremeKnob extremes[] = {
+        {kSolverBaselineRobustGd, "radius", &SolverSpec::radius, 0.0},
+        {kSolverBaselineRobustGd, "radius", &SolverSpec::radius, -1.0},
+        {kSolverAlg3SparseLinReg, "shrinkage", &SolverSpec::shrinkage, 1e200},
+        {kSolverAlg5SparseOpt, "scale", &SolverSpec::scale, 1e-320}};
+    for (const ExtremeKnob& extreme : extremes) {
+      if (name != extreme.solver) continue;
+      SCOPED_TRACE(std::string(extreme.field) + "=" +
+                   std::to_string(extreme.value));
+      SolverSpec spec = good_spec;
+      spec.iterations = 5;
+      spec.*extreme.member = extreme.value;
+      int observed = 0;
+      spec.observer = [&observed](const IterationEvent&) { ++observed; };
+      const auto fit = solver->TryFit(good, spec, rng);
+      ASSERT_FALSE(fit.ok());
+      EXPECT_EQ(fit.status().code(), StatusCode::kInvalidProblem);
+      EXPECT_EQ(observed, 0);
+    }
   }
 }
 
