@@ -1,15 +1,12 @@
 // Tests for the concurrent Engine job layer: bit-identical results to
 // sequential TryFit at fixed seeds for every registered solver, non-aborting
 // typed error statuses through Submit, cancellation (queued and running),
-// wall-clock deadlines, shutdown semantics, the single FIFO queue's order
-// and worker fan-out, and aggregate EngineStats.
+// wall-clock deadlines, shutdown semantics, and aggregate EngineStats.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,24 +189,23 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
   EXPECT_EQ(stats.succeeded, 0u);
 }
 
-/// Parks every job that reaches a worker inside its fit until released, so
-/// queue behavior can be tested deterministically. Counts arrivals so a
-/// test can wait until N workers are provably inside fits.
+/// Blocks a single-worker engine inside a fit until released, so queue
+/// behavior can be tested deterministically.
 struct WorkerGate {
-  std::atomic<int> reached{0};
+  std::atomic<bool> reached{false};
   std::atomic<bool> release{false};
 
   std::function<bool()> Hook() {
     return [this] {
-      reached.fetch_add(1);
+      reached.store(true);
       while (!release.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       return false;
     };
   }
-  void AwaitReached(int n = 1) {
-    while (reached.load() < n) {
+  void AwaitReached() {
+    while (!reached.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
@@ -384,151 +380,6 @@ TEST(EngineTest, DrainWaitsForAllJobs) {
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.running, 0u);
   for (const JobHandle& handle : handles) EXPECT_TRUE(handle.done());
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler: one FIFO queue shared by every worker
-// ---------------------------------------------------------------------------
-
-TEST(EngineSchedulerTest, SingleWorkerRunsQueuedJobsInSubmissionOrder) {
-  const SharedWorkload workload;
-  Engine engine(Engine::Options{1});
-  WorkerGate gate;
-
-  FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 40);
-  blocker.spec.should_stop = gate.Hook();  // parks the only worker
-  const JobHandle running = engine.Submit(std::move(blocker));
-  gate.AwaitReached();
-
-  // Each queued job logs its index at every should_stop poll; one worker
-  // runs them back to back, so the log's runs of equal indices give the
-  // order in which the jobs started.
-  constexpr int kQueued = 6;
-  std::mutex log_mu;
-  std::vector<int> log;
-  std::vector<JobHandle> queued;
-  for (int i = 0; i < kQueued; ++i) {
-    FitJob job =
-        workload.JobFor(kSolverAlg1DpFw, 41 + static_cast<std::uint64_t>(i));
-    job.spec.should_stop = [i, &log_mu, &log] {
-      const std::lock_guard<std::mutex> lock(log_mu);
-      log.push_back(i);
-      return false;
-    };
-    queued.push_back(engine.Submit(std::move(job)));
-  }
-  EXPECT_EQ(engine.stats().queue_depth, static_cast<std::size_t>(kQueued));
-
-  gate.release.store(true);
-  EXPECT_TRUE(running.Wait().ok());
-  for (const JobHandle& handle : queued) EXPECT_TRUE(handle.Wait().ok());
-
-  std::vector<int> started;
-  for (const int i : log) {
-    if (started.empty() || started.back() != i) started.push_back(i);
-  }
-  std::vector<int> expected(kQueued);
-  for (int i = 0; i < kQueued; ++i) expected[static_cast<std::size_t>(i)] = i;
-  EXPECT_EQ(started, expected);
-}
-
-TEST(EngineSchedulerTest, OneTenantsGatedJobsRunOnTwoWorkersAtOnce) {
-  // Nothing pins a tenant's jobs to one worker: two gated jobs from the
-  // same tenant must both be inside fits at once (AwaitReached(2) returns
-  // only then).
-  const SharedWorkload workload;
-  BudgetManager budgets;
-  ASSERT_TRUE(
-      budgets.RegisterTenant("pair", PrivacyBudget::Pure(100.0)).ok());
-  Engine engine(Engine::Options{/*workers=*/2, &budgets});
-
-  WorkerGate gate;
-  std::vector<JobHandle> handles;
-  for (int i = 0; i < 2; ++i) {
-    FitJob job =
-        workload.JobFor(kSolverAlg1DpFw, 300 + static_cast<std::uint64_t>(i));
-    job.tenant = "pair";
-    job.spec.should_stop = gate.Hook();
-    handles.push_back(engine.Submit(std::move(job)));
-  }
-  gate.AwaitReached(2);
-  EXPECT_EQ(engine.stats().running, 2u);
-
-  gate.release.store(true);
-  for (const JobHandle& handle : handles) EXPECT_TRUE(handle.Wait().ok());
-  EXPECT_EQ(engine.stats().succeeded, 2u);
-}
-
-TEST(EngineSchedulerTest, StressDrainsEveryJobAcrossWorkersBitIdentically) {
-  // Throughput-shaped soak: many short jobs across several workers, with
-  // every result checked against the sequential fit at the same seed --
-  // which worker runs a job must never change which Rng runs it.
-  const SharedWorkload workload;
-  Engine engine(Engine::Options{/*workers=*/4});
-  const Solver* solver = *SolverRegistry::Global().Find(kSolverAlg1DpFw);
-
-  constexpr std::uint64_t kJobs = 24;
-  std::vector<JobHandle> handles;
-  for (std::uint64_t seed = 0; seed < kJobs; ++seed) {
-    handles.push_back(engine.Submit(workload.JobFor(kSolverAlg1DpFw, seed)));
-  }
-  for (std::uint64_t seed = 0; seed < kJobs; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const StatusOr<FitResult>& concurrent = handles[seed].Wait();
-    ASSERT_TRUE(concurrent.ok()) << concurrent.status().ToString();
-    const FitJob job = workload.JobFor(kSolverAlg1DpFw, seed);
-    Rng rng(seed);
-    const StatusOr<FitResult> sequential =
-        solver->TryFit(job.problem, job.spec, rng);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_EQ(concurrent->w.size(), sequential->w.size());
-    for (std::size_t j = 0; j < sequential->w.size(); ++j) {
-      EXPECT_EQ(concurrent->w[j], sequential->w[j]);
-    }
-  }
-  engine.Drain();
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.succeeded, kJobs);
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.steals, 0u);
-}
-
-TEST(EngineSchedulerTest, CancelAndShutdownRacingPopsCompleteEveryJobOnce) {
-  // Cancel() erases queued jobs and Shutdown() sweeps the rest while four
-  // workers pop the same queue: whichever path takes a job out of the queue
-  // completes it, so every job completes exactly once and the counters add
-  // up. The sanitizer legs run this for data races and double completion.
-  const SharedWorkload workload;
-  Engine engine(Engine::Options{/*workers=*/4});
-  constexpr std::size_t kJobs = 64;
-  std::vector<JobHandle> handles;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    handles.push_back(engine.Submit(workload.JobFor(kSolverAlg1DpFw, 500 + i)));
-  }
-  std::thread canceller([&handles] {
-    for (std::size_t i = 0; i < kJobs; i += 2) handles[i].Cancel();
-  });
-  canceller.join();
-  engine.Shutdown();
-
-  std::size_t succeeded = 0;
-  std::size_t cancelled = 0;
-  for (const JobHandle& handle : handles) {
-    const StatusOr<FitResult>& result = handle.Wait();
-    if (result.ok()) {
-      ++succeeded;
-    } else {
-      EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-      ++cancelled;
-    }
-  }
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(succeeded + cancelled, kJobs);
-  EXPECT_EQ(stats.completed, kJobs);
-  EXPECT_EQ(stats.succeeded, succeeded);
-  EXPECT_EQ(stats.cancelled, cancelled);
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.running, 0u);
 }
 
 /// Regression for the jobs_per_sec rate: it is derived from the monotonic
