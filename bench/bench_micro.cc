@@ -99,7 +99,10 @@ BENCHMARK(BM_AccumulateContributions)->Arg(1000)->Arg(10000)->Arg(100000);
 // The acceptance-tracked hot path: one robust-gradient estimate. The
 // {4096, 2048} point is the perf-trajectory headline recorded in
 // BENCH_micro.json; the workspace is loop-carried exactly as the solvers
-// carry it, so warm iterations allocate nothing.
+// carry it, so warm iterations allocate nothing. The {80, d} rows are the
+// serve_small fold (n = 400, d = 10, split over T = 5 iterations) and its
+// neighbours at one and two AVX-512 lane groups: short rows whose tails the
+// elementwise kernel packs into full vectors.
 void BM_RobustGradient(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t d = static_cast<std::size_t>(state.range(1));
@@ -120,6 +123,9 @@ void BM_RobustGradient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * d));
 }
 BENCHMARK(BM_RobustGradient)
+    ->Args({80, 8})
+    ->Args({80, 10})
+    ->Args({80, 16})
     ->Args({1000, 100})
     ->Args({1000, 800})
     ->Args({10000, 400})
@@ -669,60 +675,79 @@ bool RunWasSkipped(const R& run) {
 }
 
 /// Captures every finished run into the BENCH_*.json perf-trajectory schema
-/// while still printing the familiar console table.
+/// while still printing the familiar console table. One record per
+/// benchmark: with --benchmark_repetitions=N the repetitions are not
+/// recorded one by one; the record is their median, with the coefficient of
+/// variation of its wall time next to it as `cv`.
 class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
+    // google-benchmark reports a benchmark's repetitions in one call and
+    // their aggregates (mean, median, stddev, cv) in the next.
     for (const Run& run : runs) {
       if (RunWasSkipped(run)) continue;
-      // With --benchmark_repetitions, aggregate rows (_mean/_stddev/...)
-      // carry statistics, not times; recording them would corrupt the
-      // trajectory (a _stddev row's "wall_seconds" is not a duration).
-      if (run.run_type == Run::RT_Aggregate) continue;
-      bench::BenchRecord record;
-      record.name = run.benchmark_name();
-      // GetAdjustedRealTime is per-iteration real time in the run's time
-      // unit; normalize back to seconds.
-      record.wall_seconds = run.GetAdjustedRealTime() /
-                            benchmark::GetTimeUnitMultiplier(run.time_unit);
-      record.iterations_per_sec =
-          record.wall_seconds > 0.0 ? 1.0 / record.wall_seconds : 0.0;
-      for (const char* extra :
-           {"sigma", "sigma_ratio", "p50_ms", "p99_ms", "p50_retry_ms",
-            "p99_retry_ms", "shed_rate", "retries_per_op",
-            "trace_overhead_pct", "span_ns_disabled", "span_ns_enabled"}) {
-        const auto it = run.counters.find(extra);
-        if (it != run.counters.end()) {
-          record.extras.emplace_back(extra, it->second.value);
+      if (run.run_type == Run::RT_Iteration) {
+        if (run.repetitions <= 1) writer_.Add(MakeRecord(run));
+      } else if (run.aggregate_name == "median") {
+        bench::BenchRecord record = MakeRecord(run);
+        for (const Run& cv : runs) {
+          if (cv.aggregate_name == "cv" &&
+              cv.run_name.str() == run.run_name.str()) {
+            // A percentage aggregate holds the statistic itself, not a
+            // time per iteration.
+            record.extras.emplace_back("cv", cv.real_accumulated_time);
+          }
         }
+        writer_.Add(std::move(record));
       }
-      // Rate counters are per main-thread CPU time unless the benchmark
-      // measures real time (its name then ends in "/real_time"); rescale
-      // the CPU-time ones to wall clock so pooled runs report true
-      // throughput (the number the perf trajectory tracks).
-      const bool cpu_timed = run.run_name.time_type.empty();
-      const double wall_rescale =
-          (cpu_timed && run.real_accumulated_time > 0.0 &&
-           run.cpu_accumulated_time > 0.0)
-              ? run.cpu_accumulated_time / run.real_accumulated_time
-              : 1.0;
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) {
-        record.items_per_sec = items->second.value * wall_rescale;
-      }
-      const auto bytes = run.counters.find("bytes_per_second");
-      if (bytes != run.counters.end()) {
-        record.extras.emplace_back("bytes_per_sec",
-                                   bytes->second.value * wall_rescale);
-      }
-      writer_.Add(std::move(record));
     }
   }
 
   bool Write(const std::string& path) const { return writer_.WriteFile(path); }
 
  private:
+  static bench::BenchRecord MakeRecord(const Run& run) {
+    bench::BenchRecord record;
+    // The benchmark's own name, without an aggregate's "_median" suffix.
+    record.name = run.run_name.str();
+    // GetAdjustedRealTime is per-iteration real time in the run's time
+    // unit; normalize back to seconds.
+    record.wall_seconds = run.GetAdjustedRealTime() /
+                          benchmark::GetTimeUnitMultiplier(run.time_unit);
+    record.iterations_per_sec =
+        record.wall_seconds > 0.0 ? 1.0 / record.wall_seconds : 0.0;
+    for (const char* extra :
+         {"sigma", "sigma_ratio", "p50_ms", "p99_ms", "p50_retry_ms",
+          "p99_retry_ms", "shed_rate", "retries_per_op",
+          "trace_overhead_pct", "span_ns_disabled", "span_ns_enabled"}) {
+      const auto it = run.counters.find(extra);
+      if (it != run.counters.end()) {
+        record.extras.emplace_back(extra, it->second.value);
+      }
+    }
+    // Rate counters are per main-thread CPU time unless the benchmark
+    // measures real time (its name then ends in "/real_time"); rescale
+    // the CPU-time ones to wall clock so pooled runs report true
+    // throughput (the number the perf trajectory tracks).
+    const bool cpu_timed = run.run_name.time_type.empty();
+    const double wall_rescale =
+        (cpu_timed && run.real_accumulated_time > 0.0 &&
+         run.cpu_accumulated_time > 0.0)
+            ? run.cpu_accumulated_time / run.real_accumulated_time
+            : 1.0;
+    const auto items = run.counters.find("items_per_second");
+    if (items != run.counters.end()) {
+      record.items_per_sec = items->second.value * wall_rescale;
+    }
+    const auto bytes = run.counters.find("bytes_per_second");
+    if (bytes != run.counters.end()) {
+      record.extras.emplace_back("bytes_per_sec",
+                                 bytes->second.value * wall_rescale);
+    }
+    return record;
+  }
+
   bench::BenchJsonWriter writer_{"bench_micro"};
 };
 

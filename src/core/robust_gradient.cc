@@ -12,18 +12,14 @@ namespace htdp {
 
 namespace {
 
-// Column blocks start on multiples of this many doubles: the AVX-512 lane
-// count, a multiple of AVX2's 4 and a divisor of the robust-mean kernel's
-// 256-element stack block. Every coordinate then falls in the same lane
-// group -- and so takes the same closed-form/spill branch -- as in a
-// full-row call, which is what keeps the column path bit-identical.
-constexpr std::size_t kLaneBlock = 8;
-
 // Below these sizes a fold is not worth splitting by columns: each extra
 // block recomputes the row's O(d) gradient scale, and the per-task work
-// must dwarf the pool dispatch.
+// must dwarf the pool dispatch. Blocks need no alignment: the Catoni
+// kernel is elementwise (an element's value depends only on itself and
+// the dispatched table), so any split of a row gives the full row's bits,
+// and equal widths balance the workers (d = 100 on 4 workers: 25 x 4).
 constexpr std::size_t kColumnMinElements = 32768;
-constexpr std::size_t kColumnMinDim = 8 * kLaneBlock;
+constexpr std::size_t kColumnMinDim = 64;
 
 }  // namespace
 
@@ -56,13 +52,12 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
 
   // A fold with fewer row chunks than workers (alg1's ~500-row folds) would
   // leave cores idle, so on the GLM path each chunk's coordinates are also
-  // split into lane-aligned column blocks. Every coordinate still sums the
-  // same rows in the same order, so the blocks never move a bit.
+  // split into one column block per worker. Every coordinate still sums
+  // the same rows in the same order, so the blocks never move a bit.
   std::size_t block_width = d;
   if (glm && chunks < workers && m * d >= kColumnMinElements &&
       d >= kColumnMinDim) {
-    const std::size_t per_worker = (d + workers - 1) / workers;
-    block_width = (per_worker + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
+    block_width = (d + workers - 1) / workers;
   }
   const std::size_t blocks = (d + block_width - 1) / block_width;
 
@@ -89,22 +84,38 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
           Vector& row_buf = ws.row_buffers[c];
           const std::size_t lo = c * chunk_size;
           const std::size_t hi = std::min(lo + chunk_size, m);
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (glm) {
-              double scale = 0.0;
-              HTDP_CHECK(loss.GradientAsScaledFeature(view.Row(i),
-                                                      view.Label(i), w,
-                                                      &scale));
-              // Fused row kernel: materialize this block of the per-sample
-              // gradient row scale * x_i + ridge * w, then push it through
-              // the batched Catoni kernel.
-              ScaledSumKernel(scale, view.Row(i) + j0, ridge, w.data() + j0,
-                              row_buf.data() + j0, width);
-            } else {
-              loss.Gradient(view.Row(i), view.Label(i), w, row_buf);
+          // In SIMD mode, as many short rows as fit the kernel's block (when
+          // that is at least two) are packed into one stack block, so a
+          // single kernel call covers them. Each coordinate still adds its
+          // rows in row order, so packing moves no bit. The scalar
+          // reference (SimdMode::kOff) keeps one call per row.
+          constexpr std::size_t kPack = RobustMeanEstimator::kBlockElements;
+          double pack[kPack];
+          const std::size_t pack_rows =
+              estimator_.simd() && 2 * width <= kPack ? kPack / width : 1;
+          for (std::size_t i = lo; i < hi;) {
+            const std::size_t rows = std::min(pack_rows, hi - i);
+            for (std::size_t r = 0; r < rows; ++r, ++i) {
+              if (glm) {
+                double scale = 0.0;
+                HTDP_CHECK(loss.GradientAsScaledFeature(view.Row(i),
+                                                        view.Label(i), w,
+                                                        &scale));
+                // Fused row kernel: materialize this block of the
+                // per-sample gradient row scale * x_i + ridge * w.
+                double* dst =
+                    pack_rows > 1 ? pack + r * width : row_buf.data() + j0;
+                ScaledSumKernel(scale, view.Row(i) + j0, ridge,
+                                w.data() + j0, dst, width);
+              } else {
+                loss.Gradient(view.Row(i), view.Label(i), w, row_buf);
+                if (pack_rows > 1) {
+                  std::copy_n(row_buf.data(), width, pack + r * width);
+                }
+              }
             }
-            estimator_.AccumulateContributions(row_buf.data() + j0, width,
-                                               acc);
+            estimator_.AccumulateRows(
+                pack_rows > 1 ? pack : row_buf.data() + j0, rows, width, acc);
           }
         }
       },

@@ -52,10 +52,12 @@ class RobustGradientEstimator {
   /// whose partial sums are added in chunk order: the output bits depend
   /// only on (view.size(), NumWorkerThreads()) through those row chunks,
   /// never on scheduling. When a GLM fold has fewer chunks than workers and
-  /// enough work, each chunk is further split into lane-aligned column
-  /// blocks (multiples of 8 coordinates) that run in parallel; a column
-  /// block computes every coordinate exactly as the full row would, so the
-  /// blocks never move a bit. Pass a `workspace` owned by the fit loop to
+  /// enough work, each chunk is further split into one column block per
+  /// worker, run in parallel. In SIMD mode rows of at most 128 coordinates
+  /// (per block) are packed several to one Catoni kernel call. The kernel
+  /// is elementwise, so neither a column block nor packing moves a bit: the
+  /// output equals one AccumulateContributions call per row, rows added in
+  /// order within each chunk. Pass a `workspace` owned by the fit loop to
   /// reuse the reduction buffers across iterations (zero allocations after
   /// warm-up); with the default nullptr a call-local workspace is used.
   void Estimate(const Loss& loss, const DatasetView& view, const Vector& w,

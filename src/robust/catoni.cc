@@ -70,9 +70,9 @@ double SmoothedPhiBySplit(double a, double b) {
 namespace simd_dispatch_internal {
 
 // The baseline-compiled scalar spill the per-ISA batch kernels call for
-// cold lane groups and tails (see util/simd_kernels_impl.h): exactly n
-// scalar SmoothedPhi evaluations, so spilled elements are bit-identical to
-// the scalar reference no matter which ISA's kernel spilled them.
+// exact-split lanes (see util/simd_kernels_impl.h): exactly n scalar
+// SmoothedPhi evaluations, so spilled elements are bit-identical to the
+// scalar reference no matter which ISA's kernel spilled them.
 void SmoothedPhiScalarSpill(const double* a, const double* b, double* out,
                             std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = SmoothedPhi(a[j], b[j]);

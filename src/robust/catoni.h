@@ -126,16 +126,20 @@ inline double SmoothedPhi(double a, double b) {
 ///
 /// With `use_simd` true (and the SIMD layer compiled in, see util/simd.h)
 /// the call routes through the runtime ISA dispatcher (util/simd_dispatch.h:
-/// AVX-512 / AVX2 / baseline picked by a one-time CPUID probe): full lane
-/// groups whose every element classifies as ClosedFormApplies run through
-/// the vectorized closed form -- ExpPd / ErfcxPd cores from
-/// util/simd_math.h -- while groups containing a cold element (tiny-b or
-/// exact-split) and the remainder tail spill to the scalar SmoothedPhi.
-/// Branch classification is computed with exactly the scalar
+/// AVX-512 / AVX2 / baseline picked by a one-time CPUID probe). The kernel
+/// is elementwise: every lane group, and the n mod W tail loaded into a
+/// padded group, runs in vector form, and each element's value depends only
+/// on (a[j], b[j]) and the dispatched table -- never on its neighbours or
+/// its position. Branch classification is computed with exactly the scalar
 /// ClosedFormApplies arithmetic, so an element can never be smoothed by a
-/// different branch than the scalar path would pick; values on the
-/// vectorized branch agree with scalar SmoothedPhi within
-/// SmoothedPhiBatchTolerance(a[j], b[j]).
+/// different branch than the scalar path would pick. Per branch:
+///  - closed form: vectorized T1..T5 (ExpPd / ErfcxPd cores from
+///    util/simd_math.h), within SmoothedPhiBatchTolerance(a[j], b[j]) of
+///    scalar SmoothedPhi;
+///  - tiny b: a vector Phi(a) with the scalar operation sequence,
+///    bit-identical to scalar SmoothedPhi;
+///  - exact split (and a negative or NaN b, whose check must fire): the
+///    scalar SmoothedPhi, one element at a time, so bit-identical.
 ///
 /// With `use_simd` false every element takes the scalar SmoothedPhi path:
 /// the result is bit-identical to n scalar calls (the golden scalar

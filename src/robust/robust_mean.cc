@@ -1,5 +1,6 @@
 #include "robust/robust_mean.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -22,7 +23,7 @@ namespace {
 // plus the a/b pair inside the dispatched kernel, 6 KiB total) stay hot in
 // L1. The dispatched transform kernel caps its own blocks at this size, so
 // the two must stay equal (see SimdKernelTable::smoothed_phi_transform).
-constexpr std::size_t kSimdBlock = 256;
+constexpr std::size_t kSimdBlock = RobustMeanEstimator::kBlockElements;
 
 // The blocked SIMD transform shared by AccumulateContributions and
 // Estimate: hands each stack block to the runtime-dispatched fused Catoni
@@ -67,14 +68,32 @@ double RobustMeanEstimator::SampleContribution(double x) const {
 void RobustMeanEstimator::AccumulateContributions(
     const double* HTDP_RESTRICT xs, std::size_t n,
     double* HTDP_RESTRICT acc) const {
+  AccumulateRows(xs, 1, n, acc);
+}
+
+void RobustMeanEstimator::AccumulateRows(const double* HTDP_RESTRICT xs,
+                                         std::size_t rows, std::size_t width,
+                                         double* HTDP_RESTRICT acc) const {
   const double scale = scale_;
   const double sqrt_beta = sqrt_beta_;
   if (use_simd_) {
+    // A block may start and end anywhere in a row; walk it in runs that
+    // stop at row ends, so each coordinate adds its rows in row order.
     ForEachSmoothedPhiBlock(
-        xs, n, scale, sqrt_beta,
-        [acc, scale](std::size_t base, std::size_t m, const double* phi) {
-          double* HTDP_RESTRICT acc_blk = acc + base;
-          for (std::size_t j = 0; j < m; ++j) acc_blk[j] += scale * phi[j];
+        xs, rows * width, scale, sqrt_beta,
+        [acc, scale, width](std::size_t base, std::size_t m,
+                            const double* phi) {
+          std::size_t col = base % width;
+          for (std::size_t t = 0; t < m;) {
+            const std::size_t run = std::min(width - col, m - t);
+            double* HTDP_RESTRICT acc_run = acc + col;
+            const double* phi_run = phi + t;
+            for (std::size_t j = 0; j < run; ++j) {
+              acc_run[j] += scale * phi_run[j];
+            }
+            t += run;
+            col = 0;
+          }
         });
     return;
   }
@@ -84,14 +103,17 @@ void RobustMeanEstimator::AccumulateContributions(
   // divert to the cold helper. Every element performs the exact operation
   // sequence of SampleContribution, so the result is bit-identical to the
   // scalar path.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double a = xs[j] / scale;
-    const double abs_a = std::abs(a);
-    const double b = abs_a / sqrt_beta;
-    if (catoni_internal::ClosedFormApplies(abs_a, b)) [[likely]] {
-      acc[j] += scale * catoni_internal::SmoothedPhiClosedForm(a, b);
-    } else {
-      acc[j] += ColdContribution(scale, a, b);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* HTDP_RESTRICT row = xs + r * width;
+    for (std::size_t j = 0; j < width; ++j) {
+      const double a = row[j] / scale;
+      const double abs_a = std::abs(a);
+      const double b = abs_a / sqrt_beta;
+      if (catoni_internal::ClosedFormApplies(abs_a, b)) [[likely]] {
+        acc[j] += scale * catoni_internal::SmoothedPhiClosedForm(a, b);
+      } else {
+        acc[j] += ColdContribution(scale, a, b);
+      }
     }
   }
 }

@@ -37,15 +37,29 @@ class RobustMeanEstimator {
   double SampleContribution(double x) const;
 
   /// acc[j] += SampleContribution(xs[j]) for every j in [0, n): the batched
-  /// kernel the robust gradient estimator runs over contiguous per-sample
-  /// gradient rows. Routes through SmoothedPhiBatch (robust/catoni.h): in
-  /// scalar mode the result is bit-identical to n scalar SampleContribution
-  /// calls; in SIMD mode each element agrees with the scalar path within
-  /// scale() * SmoothedPhiBatchTolerance(a, b) (tiny-b and exact-split
-  /// outliers always take the scalar cold path). Allocation-free either
-  /// way. xs and acc must not overlap.
+  /// kernel over one contiguous gradient row. Routes through
+  /// SmoothedPhiBatch (robust/catoni.h): in scalar mode the result is
+  /// bit-identical to n scalar SampleContribution calls; in SIMD mode the
+  /// tiny-b and exact-split elements are bit-identical to them, and each
+  /// closed-form element agrees within scale() * SmoothedPhiBatchTolerance
+  /// (a, b). Either way an element's value depends only on xs[j] and the
+  /// dispatched table, never on its neighbours or its position in the row.
+  /// Allocation-free. xs and acc must not overlap.
   void AccumulateContributions(const double* HTDP_RESTRICT xs, std::size_t n,
                                double* HTDP_RESTRICT acc) const;
+
+  /// The same for `rows` consecutive rows of `width` elements stored
+  /// back to back in xs: acc[j] += SampleContribution(xs[r * width + j])
+  /// for r = 0, 1, ... in order. Since values are elementwise, the result is
+  /// bit-identical to one AccumulateContributions call per row; in SIMD mode
+  /// short rows share kernel calls (up to kBlockElements elements each), so
+  /// a small width still runs at full vector width.
+  void AccumulateRows(const double* HTDP_RESTRICT xs, std::size_t rows,
+                      std::size_t width, double* HTDP_RESTRICT acc) const;
+
+  /// Elements per call of the dispatched Catoni transform kernel: callers
+  /// that pack short rows for AccumulateRows fill blocks of this size.
+  static constexpr std::size_t kBlockElements = 256;
 
   /// The estimate (1/n) * sum_i SampleContribution(x_i).
   double Estimate(const double* values, std::size_t n) const;

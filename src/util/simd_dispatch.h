@@ -26,10 +26,11 @@
 ///  - the rank-k update is elementwise in its output and contraction-free,
 ///    so it is bit-identical across all tables;
 ///  - the avx512f table runs 8 lanes: the Dot / DistanceL2 reductions
-///    reassociate across a different lane partition and the SmoothedPhi
-///    batch groups cold-spill / tail elements differently, both within the
-///    documented bounds (tests/simd_test.cc tolerances,
-///    SmoothedPhiBatchTolerance);
+///    reassociate across a different lane partition, within the documented
+///    bounds (tests/simd_test.cc tolerances); the SmoothedPhi batch is
+///    elementwise, so lane width never moves one of its elements, and its
+///    closed-form elements are promised only SmoothedPhiBatchTolerance of
+///    the scalar reference (docs/engine.md has the per-kernel table);
 ///  - the HTDP_SIMD=off scalar reference never reaches any table and stays
 ///    the bit-identity golden path.
 ///
@@ -51,9 +52,11 @@ struct SimdKernelTable {
   const char* isa;  // "avx512f", "avx2", or the compiled baseline's name
   int lanes;        // doubles per vector in this table's kernels
 
-  /// out[j] = SmoothedPhi(a[j], b[j]); the vector closed form for full hot
-  /// lane groups, scalar spill (SmoothedPhiScalarSpill) otherwise. Same
-  /// contract as SmoothedPhiBatch(..., use_simd=true) in robust/catoni.h.
+  /// out[j] = SmoothedPhi(a[j], b[j]), elementwise: every group (the tail
+  /// padded with hot lanes that are never stored) runs the vector closed
+  /// form and a bit-exact vector Phi for tiny-b lanes; only exact-split
+  /// lanes go to SmoothedPhiScalarSpill, one at a time. Same contract as
+  /// SmoothedPhiBatch(..., use_simd=true) in robust/catoni.h.
   void (*smoothed_phi_batch)(const double* a, const double* b, double* out,
                              std::size_t n);
 
@@ -128,7 +131,7 @@ const SimdKernelTable* Avx512Table();
 
 /// Out-of-line scalar spill of the SmoothedPhi batch kernels, compiled at
 /// the BASELINE ISA (robust/catoni.cc): out[j] = SmoothedPhi(a[j], b[j]).
-/// The per-ISA TUs call this for cold lane groups and tails instead of
+/// The per-ISA TUs call this for exact-split lanes instead of
 /// instantiating the scalar path under wide-ISA flags (see the ODR note in
 /// util/simd.h).
 void SmoothedPhiScalarSpill(const double* a, const double* b, double* out,

@@ -3,10 +3,10 @@
 // (the explicit -march resets HTDP_NATIVE flags; DQ supplies the 512-bit
 // integer shifts the mantissa-trick transcendentals lower to). The logical
 // vector widens to 8 lanes here, so the Dot / DistanceL2 reductions
-// reassociate across a different lane partition and the SmoothedPhi batch
-// groups cold spills / tails differently than the 4-lane tables -- all
+// reassociate across a different lane partition than the 4-lane tables,
 // within the documented tolerances (see util/simd_dispatch.h); the
-// elementwise kernels stay per-element identical.
+// SmoothedPhi batch and the rank update are elementwise with no scalar
+// tail, so they stay per-element identical.
 
 #include "util/simd.h"
 #include "util/simd_dispatch.h"

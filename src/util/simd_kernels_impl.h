@@ -10,13 +10,14 @@
 // (simd_dispatch_internal::SmoothedPhiScalarSpill) -- this TU must never
 // instantiate scalar inline code that other TUs also emit.
 //
-// The kernel bodies are the PR-5 vector paths of robust/catoni.cc and
-// linalg/vector_ops.cc, moved here verbatim so dispatch changes WHICH ISA
-// runs them, not WHAT they compute: at equal lane count the results are
-// bit-identical to the pre-dispatch kernels.
+// Dispatch changes WHICH ISA runs these bodies, not WHAT they compute: at
+// equal lane count the results are bit-identical, and the SmoothedPhi
+// batch and the rank update, which are elementwise with no scalar tail,
+// give the same bits per element at any lane count.
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include "robust/catoni_constants.h"
 #include "util/simd.h"
@@ -40,8 +41,9 @@ constexpr std::size_t kW = static_cast<std::size_t>(simd::kLanes);
 /// CatoniCorrection evaluated in lanes, with ExpPd / HalfErfcFromExp in
 /// place of libm's exp / erfc and the literal divisions by 6 strength-
 /// reduced to a multiply (both are within the SmoothedPhiBatchTolerance
-/// contract). Only valid where ClosedFormApplies; the caller masks.
-inline VecD ClosedFormLanes(VecD a, VecD b) {
+/// contract). Only valid where ClosedFormApplies; the caller masks. Always
+/// inlined: as a call, the batch loop's hot body runs measurably slower.
+[[gnu::always_inline]] inline VecD ClosedFormLanes(VecD a, VecD b) {
   using catoni_internal::kInvSqrt2Pi;
   using catoni_internal::kPhiBound;
   using catoni_internal::kSqrt2;
@@ -74,14 +76,75 @@ inline VecD ClosedFormLanes(VecD a, VecD b) {
   return simd::Clamp(value, -phi_bound, phi_bound);
 }
 
+/// Phi(a) in lanes: scalar Phi's operation sequence, its +/- sqrt(2)
+/// saturation and std::clamp's comparisons, so every lane is bit-identical
+/// to the scalar tiny-b branch of SmoothedPhi (NaN included).
+inline VecD PhiLanes(VecD a) {
+  using catoni_internal::kPhiBound;
+  using catoni_internal::kSqrt2;
+  const VecD phi_bound = simd::Set1(kPhiBound);
+  VecD value = a - a * a * a / simd::Set1(6.0);
+  value = simd::Select(a > simd::Set1(kSqrt2), phi_bound, value);
+  value = simd::Select(a < simd::Set1(-kSqrt2), -phi_bound, value);
+  value = simd::Select(value < -phi_bound, -phi_bound, value);
+  return simd::Select(phi_bound < value, phi_bound, value);
+}
+
+/// A lane group holding at least one cold lane (`hot` not all set): stores
+/// every lane's value to out[0, kW). Hot lanes take the closed form,
+/// tiny-b lanes Phi(a); anything else -- the exact split, and a negative or
+/// NaN b, whose scalar check must still fire -- goes to the scalar spill,
+/// one lane at a time (the spill is baseline-compiled, see above). Out of
+/// line: the common all-hot group stays one tight loop body.
+[[gnu::noinline]] void SmoothedPhiColdGroup(VecD va, VecD vb, VecI hot,
+                                            const double* a, const double* b,
+                                            double* out) {
+  using catoni_internal::kTinyB;
+  const VecI tiny = (vb >= simd::Set1(0.0)) & (vb < simd::Set1(kTinyB));
+  VecD value = PhiLanes(va);
+  if (!simd::NoneTrue(hot)) {
+    // Cold lanes evaluate the closed form at a hot stand-in (a = b = 1),
+    // so the discarded lanes compute nothing non-finite.
+    const VecD one = simd::Set1(1.0);
+    value = simd::Select(hot,
+                         ClosedFormLanes(simd::Select(hot, va, one),
+                                         simd::Select(hot, vb, one)),
+                         value);
+  }
+  simd::StoreU(out, value);
+  const VecI split = ~(hot | tiny);
+  for (std::size_t l = 0; l < kW; ++l) {
+    if (split[l] != 0) {
+      simd_dispatch_internal::SmoothedPhiScalarSpill(a + l, b + l, out + l,
+                                                     1);
+    }
+  }
+}
+
 void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
                             std::size_t n) {
   using catoni_internal::kCancellationLimit;
   using catoni_internal::kTinyB;
-  std::size_t j = 0;
-  for (; j + kW <= n; j += kW) {
-    const VecD va = simd::LoadU(a + j);
-    const VecD vb = simd::LoadU(b + j);
+  double a_pad[kW];
+  double b_pad[kW];
+  double out_pad[kW];
+  for (std::size_t j = 0; j < n; j += kW) {
+    const std::size_t lanes = n - j < kW ? n - j : kW;
+    const double* ga = a + j;
+    const double* gb = b + j;
+    double* go = out + j;
+    if (lanes < kW) [[unlikely]] {
+      // The n mod kW tail runs as one padded group: pad lanes hold the hot
+      // value a = b = 1 and are never stored.
+      for (std::size_t l = 0; l < kW; ++l) a_pad[l] = b_pad[l] = 1.0;
+      std::memcpy(a_pad, ga, lanes * sizeof(double));
+      std::memcpy(b_pad, gb, lanes * sizeof(double));
+      ga = a_pad;
+      gb = b_pad;
+      go = out_pad;
+    }
+    const VecD va = simd::LoadU(ga);
+    const VecD vb = simd::LoadU(gb);
     // Branch classification with exactly the scalar ClosedFormApplies
     // arithmetic (including the division by 6), so vector and scalar can
     // never pick different branches for the same element.
@@ -92,18 +155,13 @@ void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
     const VecI hot = (vb >= simd::Set1(kTinyB)) &
                      (cancellation <= simd::Set1(kCancellationLimit));
     if (simd::AllTrue(hot)) [[likely]] {
-      simd::StoreU(out + j, ClosedFormLanes(va, vb));
+      simd::StoreU(go, ClosedFormLanes(va, vb));
     } else {
-      // A cold element (tiny-b or exact-split) diverts its whole group to
-      // the scalar reference; outliers are rare enough that this costs
-      // nothing measurable. The spill is baseline-compiled (see above).
-      simd_dispatch_internal::SmoothedPhiScalarSpill(a + j, b + j, out + j,
-                                                     kW);
+      SmoothedPhiColdGroup(va, vb, hot, ga, gb, go);
     }
-  }
-  if (j < n) {
-    simd_dispatch_internal::SmoothedPhiScalarSpill(a + j, b + j, out + j,
-                                                   n - j);
+    if (lanes < kW) [[unlikely]] {
+      std::memcpy(out + j, out_pad, lanes * sizeof(double));
+    }
   }
 }
 

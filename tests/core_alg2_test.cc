@@ -10,6 +10,7 @@
 #include "data/synthetic.h"
 #include "dp/privacy.h"
 #include "gtest/gtest.h"
+#include "kernel_modes.h"
 #include "losses/loss.h"
 #include "losses/squared_loss.h"
 #include "optim/polytope.h"
@@ -186,20 +187,6 @@ TEST(HtPrivateLassoTest, DeterministicGivenSeed) {
 // xy = (1/n) sum y~ x~ in one pass and takes every step's gradient as
 // 2 (xx w - xy).
 // ---------------------------------------------------------------------------
-
-/// Runs `check` once per available SIMD table (pinned with
-/// ScopedSimdIsaOverride, SIMD forced on) and once with SIMD off.
-template <typename Check>
-void ForEachKernelMode(Check&& check) {
-  for (const char* isa : {"avx512f", "avx2", "baseline"}) {
-    if (!SimdIsaAvailable(isa)) continue;
-    ScopedSimdIsaOverride pin(isa);
-    SCOPED_TRACE(isa);
-    check(SimdMode::kOn);
-  }
-  SCOPED_TRACE("simd off");
-  check(SimdMode::kOff);
-}
 
 TEST(ShrunkenMomentsTest, MatchesNaiveSumsOverTheShrunkenCopy) {
   // d covers lane tails (1, 7, 403) and whole lane groups (16, 400); n

@@ -7,6 +7,7 @@
 #include "core/robust_gradient.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "kernel_modes.h"
 #include "losses/logistic_loss.h"
 #include "losses/mean_loss.h"
 #include "losses/squared_loss.h"
@@ -175,6 +176,81 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnNeighboringDatasets) {
   }
 }
 
+TEST(RobustGradientTest, SensitivityBoundHoldsOnEveryTableForPackedRows) {
+  // The d = 10 serving fold shape, whose rows are packed many to one Catoni
+  // kernel call. The last row is replaced by extremes from 1e-12 to 1e300
+  // (sign flips included) in two ways: its label, with w != 0, and its
+  // features, with w = 0 and y = 1 so that every gradient coordinate is
+  // exactly -x_ij and the tiny-b / cancellation-limit straddlers land on
+  // the thresholds. The l-inf move must stay within Sensitivity(m) exactly,
+  // on every table.
+  const std::size_t d = 10;
+  const SquaredLoss loss;
+  ForEachKernelMode([&](SimdMode mode) {
+    for (const double scale : {0.5, 1.5, 7.0}) {
+      for (const double beta : {0.1, 1.0, 10.0}) {
+        const RobustGradientEstimator estimator(scale, beta, mode);
+        // Magnitudes 1e-12 .. 1e300 in steps of 1e6, plus straddlers.
+        std::vector<double> magnitudes;
+        for (int e = -12; e <= 300; e += 6) {
+          magnitudes.push_back(std::pow(10.0, e));
+        }
+        const double root_beta = std::sqrt(beta);
+        for (const double edge : {1e-12 * root_beta * scale,
+                                  std::cbrt(6e6) * scale,
+                                  std::cbrt(2e6 * beta) * scale}) {
+          for (const double f : {1.0 - 1e-9, 1.0, 1.0 + 1e-9}) {
+            magnitudes.push_back(edge * f);
+          }
+        }
+        for (const std::size_t m : {80u, 257u}) {
+          Rng rng(200 + m);
+          SyntheticConfig config;
+          config.n = m;
+          config.d = d;
+          config.feature_dist = ScalarDistribution::Lognormal(0.0, 1.0);
+          const Vector w_star = MakeL1BallTarget(d, rng);
+          const Dataset data = GenerateLinear(config, w_star, rng);
+          const double bound = estimator.Sensitivity(m);
+          for (const bool label_family : {true, false}) {
+            Vector w(d, 0.0);
+            if (label_family) {
+              for (std::size_t j = 0; j < d; ++j) {
+                w[j] = 0.02 * static_cast<double>(j % 4) - 0.03;
+              }
+            }
+            Vector base;
+            estimator.Estimate(loss, FullView(data), w, base);
+            // The last row sits in the chunk's final, partial pack.
+            const std::size_t row = m - 1;
+            Dataset neighbor = data;
+            for (const double magnitude : magnitudes) {
+              for (const double v : {magnitude, -magnitude}) {
+                if (label_family) {
+                  neighbor.y[row] = v;
+                } else {
+                  neighbor.y[row] = 1.0;
+                  for (std::size_t j = 0; j < d; ++j) {
+                    neighbor.x(row, j) = j % 2 == 0 ? v : -v;
+                  }
+                }
+                Vector moved;
+                estimator.Estimate(loss, FullView(neighbor), w, moved);
+                for (std::size_t j = 0; j < d; ++j) {
+                  ASSERT_LE(std::abs(moved[j] - base[j]), bound)
+                      << "s=" << scale << " beta=" << beta << " m=" << m
+                      << " label_family=" << label_family << " v=" << v
+                      << " coordinate " << j;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
 TEST(RobustGradientTest, SensitivityFormula) {
   const RobustGradientEstimator estimator(2.5, 1.0);
   EXPECT_NEAR(estimator.Sensitivity(50),
@@ -340,6 +416,58 @@ TEST(RobustGradientTest, ColumnBlocksAreBitIdenticalToRowChunks) {
       }
     }
   }
+}
+
+TEST(RobustGradientTest, PackedRowsAreBitIdenticalToPerRowCallsOnEveryTable) {
+  // Rows of up to 128 coordinates (per column block) are packed several to
+  // one Catoni kernel call. Whatever the width -- one coordinate, a lane
+  // tail, whole lane groups, column blocks of a wider row, or just past the
+  // packing limit -- the estimate must equal one AccumulateContributions
+  // call per row, bit for bit, on every table. m = 1111 with
+  // HTDP_NUM_THREADS=4 splits d = 64 and d = 100 into column blocks.
+  const SquaredLoss squared;
+  const LogisticLoss ridge_logistic(0.05);
+  const MeanLoss mean_loss;  // no GLM fast path
+  const std::vector<const Loss*> losses = {&squared, &ridge_logistic,
+                                           &mean_loss};
+  ForEachKernelMode([&](SimdMode mode) {
+    for (const std::size_t d : {1u, 3u, 10u, 13u, 64u, 100u, 129u}) {
+      Rng rng(300 + d);
+      SyntheticConfig config;
+      config.n = 1111;
+      config.d = d;
+      config.feature_dist = ScalarDistribution::Lognormal(0.0, 0.6);
+      const Vector w_star = MakeL1BallTarget(d, rng);
+      Dataset data = GenerateLinear(config, w_star, rng);
+      // Exact zeros (tiny-b) and large entries (exact split) among the
+      // closed-form elements.
+      for (std::size_t k = 0; k < data.x.data().size(); k += 41) {
+        data.x.data()[k] = 0.0;
+      }
+      for (std::size_t k = 5; k < data.x.data().size(); k += 307) {
+        data.x.data()[k] = 1e3;
+      }
+      Vector w(d);
+      for (std::size_t j = 0; j < d; ++j) {
+        w[j] = j % 5 == 0 ? 0.0 : 0.01 * static_cast<double>(j % 9) - 0.03;
+      }
+      const RobustGradientEstimator estimator(3.0, 2.0, mode);
+      for (const std::size_t m : {80u, 333u, 1111u}) {
+        const DatasetView view = PrefixView(data, m);
+        for (const Loss* loss : losses) {
+          const Vector expected = RowChunkReference(estimator, *loss, view, w);
+          Vector actual;
+          estimator.Estimate(*loss, view, w, actual);
+          ASSERT_EQ(actual.size(), d);
+          for (std::size_t j = 0; j < d; ++j) {
+            ASSERT_EQ(0, std::memcmp(&actual[j], &expected[j], sizeof(double)))
+                << loss->Name() << " d=" << d << " m=" << m << " coordinate "
+                << j << ": " << actual[j] << " vs " << expected[j];
+          }
+        }
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "kernel_modes.h"
 #include "linalg/matrix.h"
 #include "robust/catoni.h"
 #include "robust/robust_mean.h"
 #include "robust/shrinkage.h"
 #include "rng/distributions.h"
 #include "rng/rng.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 namespace {
@@ -180,6 +184,8 @@ TEST(SmoothedPhiTest, ContinuousAcrossClosedFormBoundary) {
   }
 }
 
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 TEST(RobustMeanTest, SampleContributionBounded) {
   const RobustMeanEstimator estimator(2.0, 1.0);
   for (double x : {0.0, 1.0, -5.0, 1e6, -1e12, 1e30}) {
@@ -211,8 +217,9 @@ TEST(RobustMeanTest, BatchedAccumulateBitIdenticalToScalarAcrossBranches) {
 TEST(RobustMeanTest, BatchedAccumulateBitIdenticalOnTinyBBranch) {
   // b = |a| / sqrt(beta): a huge beta pushes b below SmoothedPhi's 1e-12
   // threshold so the batch must take the degenerate Phi(a) path, still bit
-  // for bit. (Mode-independent: tiny-b elements always spill to the scalar
-  // cold path, which the SIMD sweep below re-checks; pinned scalar here.)
+  // for bit. (Mode-independent: SIMD tiny-b lanes evaluate Phi(a) with the
+  // scalar operation sequence, which the SIMD sweeps below re-check; pinned
+  // scalar here.)
   const RobustMeanEstimator estimator(1.0, 1e30, SimdMode::kOff);
   const Vector xs = {0.0, 1e-9, -1e-6, 0.5, -1.0, 2.0};
   Vector batched(xs.size(), 0.0);
@@ -327,6 +334,99 @@ TEST(RobustMeanTest, SimdAccumulateAgreesWithScalarWithinTolerance) {
   }
 }
 
+TEST(RobustMeanTest, SmoothedPhiBatchIsElementwiseOnEveryTable) {
+  // Every length 1 .. 3W+1 of every table, with a tiny-b element, an
+  // exact-split element, or both planted at every position among hot
+  // closed-form elements. The batch must be elementwise: each output equals
+  // a length-1 call on that element bit for bit, wherever the element sits
+  // (full lane group, mixed group or padded tail). Cold elements equal
+  // scalar SmoothedPhi bit for bit; hot ones stay within
+  // SmoothedPhiBatchTolerance.
+  bool any_table = false;
+  for (const char* isa : {"avx512f", "avx2", "baseline"}) {
+    if (!SimdIsaAvailable(isa)) continue;
+    any_table = true;
+    ScopedSimdIsaOverride pin(isa);
+    SCOPED_TRACE(isa);
+    const std::size_t lanes =
+        static_cast<std::size_t>(ActiveSimdKernels()->lanes);
+    for (std::size_t n = 1; n <= 3 * lanes + 1; ++n) {
+      // kind 0: nothing planted; 1: tiny-b at p; 2: split at p; 3: both.
+      for (int kind = 0; kind < 4; ++kind) {
+        for (std::size_t p = 0; p < (kind == 0 ? 1 : n); ++p) {
+          std::vector<double> a(n);
+          std::vector<double> b(n);
+          std::vector<bool> cold(n, false);
+          for (std::size_t j = 0; j < n; ++j) {
+            a[j] = (j % 2 == 0 ? 0.37 : -0.61) * static_cast<double>(j + 1);
+            b[j] = 0.25 + 0.1 * static_cast<double>(j);
+          }
+          if (kind == 1 || kind == 3) {
+            a[p] = p % 2 == 0 ? 1.1 : -2.5;  // cubic and saturated Phi
+            b[p] = p % 3 == 0 ? 0.0 : 5e-13;
+            cold[p] = true;
+          }
+          if (kind == 2 || kind == 3) {
+            const std::size_t q = kind == 3 ? (p + 1) % n : p;
+            a[q] = q % 2 == 0 ? 400.0 : -1e4;  // past kCancellationLimit
+            b[q] = 30.0;
+            cold[q] = true;
+          }
+          std::vector<double> out(n);
+          SmoothedPhiBatch(a.data(), b.data(), out.data(), n,
+                           /*use_simd=*/true);
+          for (std::size_t j = 0; j < n; ++j) {
+            double single = 0.0;
+            SmoothedPhiBatch(&a[j], &b[j], &single, 1, /*use_simd=*/true);
+            ASSERT_EQ(Bits(out[j]), Bits(single))
+                << "n=" << n << " kind=" << kind << " p=" << p << " j=" << j;
+            const double scalar = SmoothedPhi(a[j], b[j]);
+            if (cold[j]) {
+              ASSERT_EQ(Bits(out[j]), Bits(scalar))
+                  << "cold a=" << a[j] << " b=" << b[j];
+            } else {
+              ASSERT_NEAR(out[j], scalar, SmoothedPhiBatchTolerance(a[j], b[j]))
+                  << "a=" << a[j] << " b=" << b[j];
+            }
+          }
+        }
+      }
+    }
+  }
+  if (!any_table) GTEST_SKIP() << "SIMD layer not compiled";
+}
+
+TEST(RobustMeanTest, AccumulateRowsIsBitIdenticalToPerRowCalls) {
+  // Packed rows of every width -- including blocks of the 256-element
+  // kernel call that start and end inside a row -- must add exactly what
+  // one AccumulateContributions call per row adds, in row order.
+  Rng rng(29);
+  ForEachKernelMode([&](SimdMode mode) {
+    const RobustMeanEstimator estimator(2.0, 0.5, mode);
+    for (const std::size_t width : {1u, 3u, 7u, 10u, 100u, 300u}) {
+      for (const std::size_t rows : {1u, 2u, 37u}) {
+        Vector xs(rows * width);
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+          xs[k] = k % 11 == 0   ? 0.0
+                  : k % 13 == 0 ? 1e4
+                                : SamplePareto(rng, 1.5) - 2.0;
+        }
+        Vector packed(width, 0.5);
+        Vector per_row(width, 0.5);
+        estimator.AccumulateRows(xs.data(), rows, width, packed.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+          estimator.AccumulateContributions(xs.data() + r * width, width,
+                                            per_row.data());
+        }
+        for (std::size_t j = 0; j < width; ++j) {
+          ASSERT_EQ(Bits(packed[j]), Bits(per_row[j]))
+              << "width=" << width << " rows=" << rows << " j=" << j;
+        }
+      }
+    }
+  });
+}
+
 TEST(RobustMeanTest, SensitivityFormula) {
   const RobustMeanEstimator estimator(3.0, 1.0);
   // 4 sqrt(2) s / (3 n) = 2 s phi_bound / n.
@@ -347,6 +447,72 @@ TEST(RobustMeanTest, ReplacingOneSampleRespectsSensitivity) {
     EXPECT_LE(std::abs(estimator.Estimate(neighbor) - base),
               estimator.Sensitivity(n) + 1e-12);
   }
+}
+
+/// Replacement values for the sensitivity sweeps: 0, +/-10^e for e in
+/// [-12, 300] with the given stride, and values straddling the tiny-b and
+/// cancellation-limit thresholds of SmoothedPhi for this (scale, beta).
+std::vector<double> ReplacementValues(double scale, double beta, int stride) {
+  std::vector<double> magnitudes;
+  for (int e = -12; e <= 300; e += stride) {
+    magnitudes.push_back(std::pow(10.0, e));
+  }
+  // a = x/s, b = |a|/sqrt(beta): b crosses kTinyB at |a| = kTinyB sqrt(beta);
+  // |a|^3/6 and |a| b^2/2 = |a|^3/(2 beta) cross kCancellationLimit at the
+  // two cube roots below.
+  using catoni_internal::kCancellationLimit;
+  using catoni_internal::kTinyB;
+  for (const double edge :
+       {kTinyB * std::sqrt(beta) * scale,
+        std::cbrt(6.0 * kCancellationLimit) * scale,
+        std::cbrt(2.0 * beta * kCancellationLimit) * scale}) {
+    for (const double x : {edge * (1.0 - 1e-9), std::nextafter(edge, 0.0),
+                           edge, std::nextafter(edge, 2.0 * edge),
+                           edge * (1.0 + 1e-9)}) {
+      magnitudes.push_back(x);
+    }
+  }
+  std::vector<double> values = {0.0};
+  for (const double m : magnitudes) {
+    values.push_back(m);
+    values.push_back(-m);
+  }
+  return values;
+}
+
+TEST(RobustMeanTest, ReplacingOneSampleRespectsSensitivityOnEveryTable) {
+  // The privacy analysis needs |est(D) - est(D')| <= Sensitivity(n) for
+  // every neighbouring pair, on whichever table the dispatcher picks. One
+  // sample of a +/-Pareto(1.5) vector is replaced by extremes from 1e-12 to
+  // 1e300, sign flips and threshold straddlers. The bound is asserted
+  // exactly, with no slack.
+  ForEachKernelMode([](SimdMode mode) {
+    for (const double scale : {0.5, 1.5, 7.0}) {
+      for (const double beta : {0.1, 1.0, 10.0}) {
+        const RobustMeanEstimator estimator(scale, beta, mode);
+        const std::vector<double> replacements =
+            ReplacementValues(scale, beta, 1);
+        for (const std::size_t n : {8u, 64u, 257u}) {
+          Rng rng(1000 + n);
+          Vector values(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            values[i] = (i % 2 == 0 ? 1.0 : -1.0) * SamplePareto(rng, 1.5);
+          }
+          const double base = estimator.Estimate(values);
+          const double bound = estimator.Sensitivity(n);
+          for (const std::size_t index : {std::size_t{0}, n - 1}) {
+            Vector neighbor = values;
+            for (const double replacement : replacements) {
+              neighbor[index] = replacement;
+              ASSERT_LE(std::abs(estimator.Estimate(neighbor) - base), bound)
+                  << "s=" << scale << " beta=" << beta << " n=" << n
+                  << " index=" << index << " x=" << replacement;
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 TEST(RobustMeanTest, UnbiasedOnCleanGaussianData) {

@@ -372,11 +372,11 @@ TEST(SimdDispatchTest, Avx512TableWithinDocumentedTolerances) {
   const SimdKernelTable* avx512 = simd_dispatch_internal::Avx512Table();
   ASSERT_NE(avx512, nullptr);
   EXPECT_EQ(avx512->lanes, 8);
-  // 8 lanes regroup the reductions and the cold-spill/tail classification;
-  // elementwise kernels stay per-element identical, reductions within
-  // reassociation rounding, SmoothedPhi within its documented bound
-  // (SmoothedPhiBatchTolerance is vs scalar; vs another vector lane width
-  // the gap can only be smaller, but reuse the same pinned bound).
+  // 8 lanes regroup the reductions; elementwise kernels stay per-element
+  // identical, reductions within reassociation rounding, SmoothedPhi within
+  // its documented bound (SmoothedPhiBatchTolerance is vs scalar; vs
+  // another vector lane width the gap can only be smaller, but reuse the
+  // same pinned bound).
   CompareTables(*avx512, [](const char* kernel, std::size_t i, double got,
                             double want) {
     if (std::string(kernel) == "smoothed_phi_batch" ||
