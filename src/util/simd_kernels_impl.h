@@ -90,31 +90,52 @@ inline VecD PhiLanes(VecD a) {
   return simd::Select(phi_bound < value, phi_bound, value);
 }
 
-/// A lane group holding at least one cold lane (`hot` not all set): stores
-/// every lane's value to out[0, kW). Hot lanes take the closed form,
-/// tiny-b lanes Phi(a); anything else -- the exact split, and a negative or
-/// NaN b, whose scalar check must still fire -- goes to the scalar spill,
-/// one lane at a time (the spill is baseline-compiled, see above). Out of
-/// line: the common all-hot group stays one tight loop body.
+/// Closed-form lanes of mixed groups, gathered until they fill a vector. A
+/// group with one hot lane among tiny-b lanes (a sparse ridge row, say)
+/// then costs a fraction of a vector closed form instead of a whole one.
+/// A closed-form lane's bits do not depend on the other lanes, so
+/// gathering moves no bit.
+struct PendingHotLanes {
+  double a[kW];
+  double b[kW];
+  double* out[kW];
+  std::size_t count = 0;
+};
+
+/// Evaluates the gathered lanes (unused lanes hold the hot stand-in
+/// a = b = 1) and writes each to its destination.
+[[gnu::noinline]] void FlushHotLanes(PendingHotLanes& pending) {
+  if (pending.count == 0) return;
+  for (std::size_t l = pending.count; l < kW; ++l) {
+    pending.a[l] = pending.b[l] = 1.0;
+  }
+  const VecD value =
+      ClosedFormLanes(simd::LoadU(pending.a), simd::LoadU(pending.b));
+  for (std::size_t l = 0; l < pending.count; ++l) *pending.out[l] = value[l];
+  pending.count = 0;
+}
+
+/// A lane group holding at least one cold lane (`hot` not all set). Tiny-b
+/// lanes store Phi(a); anything else that is not hot -- the exact split,
+/// and a negative or NaN b, whose scalar check must still fire -- goes to
+/// the scalar spill, one lane at a time (the spill is baseline-compiled,
+/// see above). Hot lanes join `pending`; their out[l] is written when it
+/// is flushed. Out of line: the common all-hot group stays one tight loop
+/// body.
 [[gnu::noinline]] void SmoothedPhiColdGroup(VecD va, VecD vb, VecI hot,
                                             const double* a, const double* b,
-                                            double* out) {
+                                            double* out,
+                                            PendingHotLanes& pending) {
   using catoni_internal::kTinyB;
   const VecI tiny = (vb >= simd::Set1(0.0)) & (vb < simd::Set1(kTinyB));
-  VecD value = PhiLanes(va);
-  if (!simd::NoneTrue(hot)) {
-    // Cold lanes evaluate the closed form at a hot stand-in (a = b = 1),
-    // so the discarded lanes compute nothing non-finite.
-    const VecD one = simd::Set1(1.0);
-    value = simd::Select(hot,
-                         ClosedFormLanes(simd::Select(hot, va, one),
-                                         simd::Select(hot, vb, one)),
-                         value);
-  }
-  simd::StoreU(out, value);
-  const VecI split = ~(hot | tiny);
+  simd::StoreU(out, PhiLanes(va));
   for (std::size_t l = 0; l < kW; ++l) {
-    if (split[l] != 0) {
+    if (hot[l] != 0) {
+      pending.a[pending.count] = va[l];
+      pending.b[pending.count] = vb[l];
+      pending.out[pending.count] = out + l;
+      if (++pending.count == kW) FlushHotLanes(pending);
+    } else if (tiny[l] == 0) {
       simd_dispatch_internal::SmoothedPhiScalarSpill(a + l, b + l, out + l,
                                                      1);
     }
@@ -128,6 +149,7 @@ void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
   double a_pad[kW];
   double b_pad[kW];
   double out_pad[kW];
+  PendingHotLanes pending;
   for (std::size_t j = 0; j < n; j += kW) {
     const std::size_t lanes = n - j < kW ? n - j : kW;
     const double* ga = a + j;
@@ -157,12 +179,14 @@ void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
     if (simd::AllTrue(hot)) [[likely]] {
       simd::StoreU(go, ClosedFormLanes(va, vb));
     } else {
-      SmoothedPhiColdGroup(va, vb, hot, ga, gb, go);
+      SmoothedPhiColdGroup(va, vb, hot, ga, gb, go, pending);
     }
     if (lanes < kW) [[unlikely]] {
+      FlushHotLanes(pending);  // out_pad is copied out next
       std::memcpy(out + j, out_pad, lanes * sizeof(double));
     }
   }
+  FlushHotLanes(pending);
 }
 
 void SmoothedPhiTransformKernel(const double* xs, std::size_t n, double scale,
