@@ -91,6 +91,7 @@ class BenchJsonWriter {
       : bench_name_(std::move(bench_name)) {}
 
   void Add(BenchRecord record) { records_.push_back(std::move(record)); }
+  bool empty() const { return records_.empty(); }
 
   bool WriteFile(const std::string& path) const {
     std::FILE* file = std::fopen(path.c_str(), "w");

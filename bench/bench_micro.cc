@@ -251,22 +251,6 @@ void BM_ExponentialMechanism(benchmark::State& state) {
 }
 BENCHMARK(BM_ExponentialMechanism)->Arg(400)->Arg(1600)->Arg(12800);
 
-// The SolverSpec::simd_select fast path: identical uniform stream, Gumbel
-// transform through the vectorized log.
-void BM_ExponentialMechanismSimd(benchmark::State& state) {
-  const std::size_t range = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  Vector scores(range);
-  for (double& s : scores) s = rng.Uniform(-1.0, 1.0);
-  const ExponentialMechanism mechanism(0.1, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism.SelectGumbelSimd(scores, rng));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(range));
-}
-BENCHMARK(BM_ExponentialMechanismSimd)->Arg(400)->Arg(1600)->Arg(12800);
-
 void BM_Peeling(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));
   const std::size_t s = static_cast<std::size_t>(state.range(1));
@@ -327,18 +311,6 @@ void BM_LognormalSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LognormalSampling);
-
-void BM_FillNormal(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(27);
-  Vector out(n);
-  for (auto _ : state) {
-    FillNormal(rng, out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_FillNormal)->Arg(1000)->Arg(100000);
 
 void BM_ShrinkDataset(benchmark::State& state) {
   const std::size_t n = 10000;
@@ -704,6 +676,7 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
     }
   }
 
+  bool empty() const { return writer_.empty(); }
   bool Write(const std::string& path) const { return writer_.WriteFile(path); }
 
  private:
@@ -777,6 +750,9 @@ int main(int argc, char** argv) {
   }
   htdp::JsonTrajectoryReporter trajectory;
   benchmark::RunSpecifiedBenchmarks(&trajectory);
+  // Nothing ran (--benchmark_list_tests, or a filter that matched nothing):
+  // leave the trajectory file as it is.
+  if (trajectory.empty()) return 0;
   if (!trajectory.Write(json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;

@@ -73,9 +73,7 @@ class Alg1DpFwSolver final : public Solver {
       const ExponentialMechanism mechanism(sensitivity, epsilon);
       polytope.VertexInnerProducts(ws.robust_grad, ws.scores);
       for (double& value : ws.scores) value = -value;
-      const std::size_t pick =
-          resolved.simd_select ? mechanism.SelectGumbelSimd(ws.scores, rng)
-                               : mechanism.SelectGumbel(ws.scores, rng);
+      const std::size_t pick = mechanism.SelectGumbel(ws.scores, rng);
       result.ledger.Record({"exponential", epsilon, 0.0, sensitivity,
                             /*fold=*/t - 1});
 

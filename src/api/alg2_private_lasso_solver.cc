@@ -98,9 +98,7 @@ class Alg2PrivateLassoSolver final : public Solver {
       }
       polytope.VertexInnerProducts(ws.robust_grad, ws.scores);
       for (double& value : ws.scores) value = -value;
-      const std::size_t pick =
-          resolved.simd_select ? mechanism.SelectGumbelSimd(ws.scores, rng)
-                               : mechanism.SelectGumbel(ws.scores, rng);
+      const std::size_t pick = mechanism.SelectGumbel(ws.scores, rng);
       result.ledger.Record({"exponential", step_epsilon, step_delta,
                             sensitivity, /*fold=*/-1});
 

@@ -88,11 +88,7 @@ class BaselineRobustGdSolver final : public Solver {
                                              calibration.sigma_multiplier)
               : GaussianMechanism(l2_sensitivity, calibration.step_epsilon,
                                   calibration.step_delta);
-      if (resolved.vector_noise_fill) {
-        mechanism.PrivatizeInPlaceFilled(grad, ws.noise, rng);
-      } else {
-        mechanism.PrivatizeInPlace(grad, rng);
-      }
+      mechanism.PrivatizeInPlace(grad, rng);
       result.ledger.Record({"gaussian", calibration.step_epsilon,
                             calibration.step_delta, l2_sensitivity,
                             /*fold=*/t - 1, /*rho=*/calibration.rho});

@@ -35,7 +35,6 @@ struct SolverWorkspace {
   Vector w_half;                     // pre-Peeling half step (IHT solvers)
   Vector row;                        // one shrunken sample (alg3 streaming)
   PeelingResult peeled;              // Peeling release (IHT solvers)
-  Vector noise;                      // vector noise fills (FillNormal path)
 };
 
 /// Non-aborting precondition sweep every TryFit runs before touching the

@@ -63,11 +63,6 @@ struct SolverSpec {
   PgdOptions::Projection projection =
       PgdOptions::Projection::kL1Ball;  // baseline_robust_gd only
   double radius = 1.0;                  // baseline_robust_gd only
-  bool vector_noise_fill = false;  // draw noise vectors via FillNormal (both
-                                   // Box-Muller outputs per uniform pair);
-                                   // changes the RNG stream, so pinned seeds
-                                   // only stay bit-identical while this is
-                                   // off. baseline_robust_gd only.
 
   /// Per-fit SIMD override for the robust-gradient hot path (the Catoni
   /// kernels threaded through TryMakeFoldedRobustPlan). kAuto follows the
@@ -78,17 +73,6 @@ struct SolverSpec {
   /// HTDP_SIMD=off (or SetSimdEnabled(false)), not just this field. See the
   /// contract in util/simd.h.
   SimdMode simd = SimdMode::kAuto;
-
-  /// Route exponential-mechanism selections through the SIMD Gumbel-max
-  /// kernel (ExponentialMechanism::SelectGumbelSimd): the per-candidate
-  /// Gumbel draws are computed with the vectorized log, so the draw stream
-  /// consumes exactly the same uniforms but the realized noise can differ
-  /// from the scalar sampler by a few ULP -- enough to flip an argmax on
-  /// rare near-ties. Off by default so pinned seeds keep reproducing the
-  /// historical selections bit for bit; the samplers are distributionally
-  /// identical (pinned by tests/dp_test.cc). Read by the selection solvers
-  /// (alg1_dp_fw, alg2_private_lasso).
-  bool simd_select = false;
 
   // --- Instrumentation (never affects the optimization path). ------------
   bool record_risk_trace = false;

@@ -8,8 +8,6 @@
 #include "obs/trace.h"
 #include "rng/distributions.h"
 #include "util/check.h"
-#include "util/simd.h"
-#include "util/simd_dispatch.h"
 
 namespace htdp {
 
@@ -34,45 +32,6 @@ std::size_t ExponentialMechanism::SelectGumbel(const Vector& scores,
     }
   }
   return best;
-}
-
-std::size_t ExponentialMechanism::SelectGumbelSimd(const Vector& scores,
-                                                   Rng& rng) const {
-#if HTDP_SIMD_COMPILED
-  if (SimdEnabled()) {
-    HTDP_CHECK(!scores.empty());
-    const double beta = epsilon_ / (2.0 * sensitivity_);
-    const std::size_t n = scores.size();
-    // Stack blocks keep the kernel allocation-free: draw the uniforms in
-    // index order (exactly SelectGumbel's stream), transform them to Gumbel
-    // noise in lanes, then scan for the argmax with SelectGumbel's strict
-    // ">" tie-breaking.
-    constexpr std::size_t kBlock = 128;
-    double uniforms[kBlock];
-    double noise[kBlock];
-    std::size_t best = 0;
-    double best_value = -1e300;
-    // The lane transform -log(-log(u)) runs through the runtime-dispatched
-    // kernel table (util/simd_dispatch.h); it is elementwise, so the noise
-    // stream is identical per element at any lane width.
-    const SimdKernelTable* table = ActiveSimdKernels();
-    HTDP_CHECK(table != nullptr);  // SimdEnabled() implies a table
-    for (std::size_t base = 0; base < n; base += kBlock) {
-      const std::size_t m = std::min(kBlock, n - base);
-      for (std::size_t j = 0; j < m; ++j) uniforms[j] = rng.UniformOpen();
-      table->gumbel_from_uniform(uniforms, noise, m);
-      for (std::size_t r = 0; r < m; ++r) {
-        const double value = beta * scores[base + r] + noise[r];
-        if (value > best_value) {
-          best_value = value;
-          best = base + r;
-        }
-      }
-    }
-    return best;
-  }
-#endif
-  return SelectGumbel(scores, rng);
 }
 
 std::size_t ExponentialMechanism::SelectLogSumExp(const Vector& scores,

@@ -13,22 +13,13 @@ namespace htdp {
 /// (2 * Delta_u)), which preserves epsilon-DP when Delta_u bounds the score
 /// sensitivity.
 ///
-/// Three equivalent samplers are provided:
+/// Two equivalent samplers are provided:
 ///  - SelectGumbel: argmax_r { epsilon * u_r / (2 Delta) + Gumbel(0,1) } --
-///    numerically stable, O(|R|), single pass, the scalar default of the
-///    algorithms.
-///  - SelectGumbelSimd: the same single-pass Gumbel-max draw with the
-///    per-candidate Gumbel noise -log(-log u_r) computed in lanes by the
-///    vectorized log (util/simd_math.h). Consumes exactly SelectGumbel's
-///    uniform stream in the same order; the realized noise differs by a few
-///    ULP, so a near-tie can rarely resolve differently -- the selection
-///    DISTRIBUTION is identical (pinned by tests/dp_test.cc). Behind
-///    SolverSpec::simd_select (default off) so pinned seeds reproduce the
-///    historical selections. Falls back to SelectGumbel when the SIMD layer
-///    is off. Allocation-free.
+///    numerically stable, O(|R|), single pass, allocation-free; the sampler
+///    the algorithms use.
 ///  - SelectLogSumExp: direct categorical sampling through an
 ///    exp-normalize (log-sum-exp) loop -- kept as the slow cross-check
-///    reference for the Gumbel implementations in tests.
+///    reference for SelectGumbel in tests.
 class ExponentialMechanism {
  public:
   /// `sensitivity` is Delta_u = max_r max_{D~D'} |u(D,r) - u(D',r)|.
@@ -37,10 +28,6 @@ class ExponentialMechanism {
   /// Selects an index into `scores` (the u(D, r) values) via the Gumbel-max
   /// trick.
   std::size_t SelectGumbel(const Vector& scores, Rng& rng) const;
-
-  /// SIMD Gumbel-max: same draw stream, vectorized noise transform. See the
-  /// class comment for the equivalence contract.
-  std::size_t SelectGumbelSimd(const Vector& scores, Rng& rng) const;
 
   /// Selects an index into `scores` by direct inverse-CDF sampling of the
   /// categorical distribution with logits epsilon * u_r / (2 Delta).

@@ -32,13 +32,4 @@ void GaussianMechanism::PrivatizeInPlace(Vector& value, Rng& rng) const {
   for (double& v : value) v += SampleNormal(rng, 0.0, sigma_);
 }
 
-void GaussianMechanism::PrivatizeInPlaceFilled(Vector& value,
-                                               Vector& noise_scratch,
-                                               Rng& rng) const {
-  HTDP_TRACE_SPAN("dp.privatize");
-  noise_scratch.resize(value.size());
-  FillNormal(rng, noise_scratch.data(), noise_scratch.size());
-  AxpyKernel(sigma_, noise_scratch.data(), value.data(), value.size());
-}
-
 }  // namespace htdp

@@ -28,15 +28,8 @@ class GaussianMechanism {
   double Privatize(double value, Rng& rng) const;
 
   /// Adds i.i.d. N(0, sigma^2) noise to every coordinate in place, one
-  /// SampleNormal draw per coordinate (the historical stream).
+  /// SampleNormal draw per coordinate.
   void PrivatizeInPlace(Vector& value, Rng& rng) const;
-
-  /// Same release, but draws the noise vector through FillNormal into
-  /// `noise_scratch` (resized to value.size()), consuming both Box-Muller
-  /// outputs per uniform pair. Different RNG stream than PrivatizeInPlace;
-  /// solvers gate it behind SolverSpec::vector_noise_fill.
-  void PrivatizeInPlaceFilled(Vector& value, Vector& noise_scratch,
-                              Rng& rng) const;
 
  private:
   GaussianMechanism() = default;  // for WithSigma; sigma_ set directly

@@ -45,6 +45,18 @@ Status DecodeEnumByte(WireReader& r, std::uint8_t max_value, std::uint8_t* out,
   return Status::Ok();
 }
 
+// A version-1 byte whose option was removed: kept at its offset so the
+// layout does not move, written as 0 and refused when set.
+Status DecodeReservedByte(WireReader& r, const char* what) {
+  std::uint8_t raw = 0;
+  HTDP_RETURN_IF_ERROR(r.U8(&raw, what));
+  if (raw != 0) {
+    return Status::InvalidProblem(std::string(what) +
+                                  " is reserved and must be 0 in version 1");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -174,9 +186,9 @@ void EncodeSpec(WireWriter& w, const SolverSpec& spec) {
   w.F64(spec.fixed_step);
   w.U8(static_cast<std::uint8_t>(spec.projection));
   w.F64(spec.radius);
-  w.Bool(spec.vector_noise_fill);
+  w.U8(0);  // reserved: spec.vector_noise_fill
   w.U8(static_cast<std::uint8_t>(spec.simd));
-  w.Bool(spec.simd_select);
+  w.U8(0);  // reserved: spec.simd_select
   w.Bool(spec.record_risk_trace);
 }
 
@@ -204,12 +216,11 @@ Status DecodeSpec(WireReader& r, SolverSpec* out) {
   HTDP_RETURN_IF_ERROR(DecodeEnumByte(r, 2, &projection, "spec.projection"));
   out->projection = static_cast<PgdOptions::Projection>(projection);
   HTDP_RETURN_IF_ERROR(r.F64(&out->radius, "spec.radius"));
-  HTDP_RETURN_IF_ERROR(
-      r.Bool(&out->vector_noise_fill, "spec.vector_noise_fill"));
+  HTDP_RETURN_IF_ERROR(DecodeReservedByte(r, "spec.vector_noise_fill"));
   std::uint8_t simd = 0;
   HTDP_RETURN_IF_ERROR(DecodeEnumByte(r, 2, &simd, "spec.simd"));
   out->simd = static_cast<SimdMode>(simd);
-  HTDP_RETURN_IF_ERROR(r.Bool(&out->simd_select, "spec.simd_select"));
+  HTDP_RETURN_IF_ERROR(DecodeReservedByte(r, "spec.simd_select"));
   HTDP_RETURN_IF_ERROR(
       r.Bool(&out->record_risk_trace, "spec.record_risk_trace"));
   return Status::Ok();

@@ -17,17 +17,6 @@ double SampleNormal(Rng& rng) {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-void FillNormal(Rng& rng, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 2) {
-    const double u1 = rng.UniformOpen();
-    const double u2 = rng.UniformUnit();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double angle = 2.0 * std::numbers::pi * u2;
-    out[i] = r * std::cos(angle);
-    if (i + 1 < n) out[i + 1] = r * std::sin(angle);
-  }
-}
-
 double SampleNormal(Rng& rng, double mean, double stddev) {
   HTDP_CHECK_GE(stddev, 0.0);
   return mean + stddev * SampleNormal(rng);

@@ -1,7 +1,6 @@
 #ifndef HTDP_RNG_DISTRIBUTIONS_H_
 #define HTDP_RNG_DISTRIBUTIONS_H_
 
-#include <cstddef>
 #include <string>
 
 #include "rng/rng.h"
@@ -14,14 +13,6 @@ namespace htdp {
 
 /// Standard normal via Box-Muller (one value per call).
 double SampleNormal(Rng& rng);
-
-/// Fills out[0..n) with standard normals using BOTH Box-Muller outputs per
-/// uniform pair (cos and sin), so vector noise fills consume half the
-/// uniforms of n SampleNormal calls. NOTE: this is a different draw stream
-/// than n SampleNormal calls -- solvers only use it behind an explicit
-/// opt-in (SolverSpec::vector_noise_fill) so pinned seeds stay bit-identical
-/// by default. An odd n consumes a final full pair and keeps its cos output.
-void FillNormal(Rng& rng, double* out, std::size_t n);
 
 /// Normal with the given mean and standard deviation.
 double SampleNormal(Rng& rng, double mean, double stddev);

@@ -15,7 +15,7 @@
 ///
 /// On x86-64 the batch kernels are additionally multi-versioned at RUNTIME:
 /// the hot-loop entry points (SmoothedPhiBatch and its Catoni transform,
-/// Dot / DistanceL2, the Gumbel noise transform) are compiled once per ISA
+/// Dot / DistanceL2, alg2's rank-k update) are compiled once per ISA
 /// in dedicated translation units (util/simd_kernels_{base,avx2,avx512}.cc)
 /// and selected through a one-time CPUID probe -- see util/simd_dispatch.h.
 /// One shipped binary therefore hits AVX-512 or AVX2 on machines that have

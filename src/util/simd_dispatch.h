@@ -6,10 +6,9 @@
 /// Runtime SIMD ISA dispatch for the batch kernels.
 ///
 /// The hot-loop entry points -- the Catoni SmoothedPhi batch + transform,
-/// the Dot / DistanceL2 reductions, the Gumbel noise transform of the
-/// exponential mechanism and the rank-k update behind alg2's second
-/// moments -- are compiled once per ISA into dedicated translation units
-/// (util/simd_kernels_base.cc at the binary's baseline,
+/// the Dot / DistanceL2 reductions and the rank-k update behind alg2's
+/// second moments -- are compiled once per ISA into dedicated translation
+/// units (util/simd_kernels_base.cc at the binary's baseline,
 /// plus util/simd_kernels_avx2.cc and util/simd_kernels_avx512.cc on
 /// x86-64, built with per-file -mavx2 / -mavx512f flags; see
 /// CMakeLists.txt). Each TU exports one `SimdKernelTable` of function
@@ -71,10 +70,6 @@ struct SimdKernelTable {
   /// vectors, lanes summed in index order, scalar tail.
   double (*dot)(const double* a, const double* b, std::size_t n);
   double (*distance_l2)(const double* a, const double* b, std::size_t n);
-
-  /// noise[j] = -log(-log(u[j])) via LogPd lanes + scalar tail (elementwise:
-  /// identical per element across lane widths).
-  void (*gumbel_from_uniform)(const double* u, double* noise, std::size_t n);
 
   /// Rank-k update (k <= kRankUpdateRows) of the upper triangle of the
   /// row-major d x d matrix g with the k x d row-major block `rows`:

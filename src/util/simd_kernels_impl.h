@@ -260,18 +260,6 @@ double DistanceL2Kernel(const double* a, const double* b, std::size_t n) {
   return std::sqrt(acc);
 }
 
-void GumbelFromUniformKernel(const double* u, double* noise, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + kW <= n; j += kW) {
-    const VecD v = simd::LoadU(u + j);
-    simd::StoreU(noise + j, -simd::LogPd(-simd::LogPd(v)));
-  }
-  // std::log resolves to the extern libm call; no scalar inline code is
-  // instantiated here (elementwise per-lane LogPd matches it within the
-  // documented ULP bound regardless of lane width).
-  for (; j < n; ++j) noise[j] = -std::log(-std::log(u[j]));
-}
-
 // Rank-k update of the upper triangle: one pass over g[j, j..d) per row j,
 // each lane summing the block's k products in r order before the add to g.
 // No cross-lane reduction, so every lane width gives the scalar loop's bits.
@@ -338,7 +326,7 @@ const SimdKernelTable kTable = {
     simd::kIsaName,          static_cast<int>(kW),
     &SmoothedPhiBatchKernel, &SmoothedPhiTransformKernel,
     &DotKernel,              &DistanceL2Kernel,
-    &GumbelFromUniformKernel, &RankUpdateUpperKernel};
+    &RankUpdateUpperKernel};
 
 }  // namespace HTDP_SIMD_ISA_NS
 }  // namespace simd_kernel_impl

@@ -14,8 +14,6 @@
 ///   ExpPd    max observed 1.1 ULP on [-708, 709]; documented bound 4 ULP.
 ///            Flushes to +0 below -708 (no gradual underflow; 2^k scaling
 ///            stays in the normal range) and saturates to +inf above 709.
-///   LogPd    max observed 2.0 ULP over positive normals; documented bound
-///            4 ULP. Domain: finite positive normal doubles.
 ///   ErfcxPd  scaled complementary error function erfc(y) * exp(y^2) for
 ///            y >= 0: max observed 1e-15 relative; documented bound 4e-15.
 ///
@@ -97,12 +95,6 @@ inline constexpr double kExpPoly[] = {
     1.0 / 40320.0, 1.0 / 362880.0, 1.0 / 3628800.0, 1.0 / 39916800.0,
     1.0 / 479001600.0, 1.0 / 6227020800.0};
 
-// 2*atanh(z) tail: ascending coefficients 1/3 .. 1/21 of the odd series in
-// w = z^2 (|z| <= sqrt(2) - 1 after mantissa reduction).
-inline constexpr double kLogPoly[] = {
-    1.0 / 3.0,  1.0 / 5.0,  1.0 / 7.0,  1.0 / 9.0,  1.0 / 11.0,
-    1.0 / 13.0, 1.0 / 15.0, 1.0 / 17.0, 1.0 / 19.0, 1.0 / 21.0};
-
 // erfcx(y) on y in [0, 2]: monomial in u = y - 1, ascending, degree 22
 // (max 3.2e-16 relative over the segment).
 inline constexpr double kErfcxNear[] = {
@@ -159,30 +151,6 @@ inline VecD ExpPd(VecD x) {
   result = Select(underflow, Set1(0.0), result);
   result = Select(overflow, Set1(__builtin_huge_val()), result);
   return result;
-}
-
-/// Vector log over positive normal doubles. See the contract above.
-inline VecD LogPd(VecD x) {
-  using namespace math_internal;
-  // Decompose x = 2^e * m with m in [sqrt(1/2), sqrt(2)). The biased
-  // exponent is un-biased in the float domain via the mantissa-shift trick
-  // (an int-to-double conversion would lower to per-lane scalar code).
-  const VecI bits = (VecI)x;
-  const VecI biased = (bits >> Set1I(52)) & Set1I(0x7FF);
-  VecD e = (VecD)(biased | Set1I(0x4330000000000000LL)) -
-           Set1(kMantissaShift + 1023.0);
-  VecD m = (VecD)((bits & Set1I(0xFFFFFFFFFFFFFLL)) | Set1I(1023LL << 52));
-  const VecI fold = m > Set1(1.4142135623730951);
-  m = Select(fold, m * Set1(0.5), m);
-  e = Select(fold, e + Set1(1.0), e);
-
-  const VecD z = (m - Set1(1.0)) / (m + Set1(1.0));
-  const VecD w = z * z;
-  const VecD p = PolyEval(kLogPoly, w);
-  // e*ln2_lo first, the dominant e*ln2_hi last: matches the fdlibm ordering
-  // that keeps cancellation error small near x = 1.
-  const VecD z2 = z + z;
-  return e * Set1(kLn2Lo) + (z2 + z2 * w * p) + e * Set1(kLn2Hi);
 }
 
 /// Vector erfcx(y) = erfc(y) * exp(y^2) for y >= 0 (callers handle signs).

@@ -140,32 +140,26 @@ TEST(ZeroAllocationTest, Alg2IterationsAllocateNothingAfterWarmup) {
 
 TEST(ZeroAllocationTest, SimdBatchKernelsAllocateNothing) {
   // The SIMD kernel layer works out of registers and fixed stack blocks:
-  // SmoothedPhiBatch, the SIMD AccumulateContributions path and the SIMD
-  // Gumbel-max selection must not touch the heap at all (not even on their
-  // first call -- there is no warm-up state to grow).
+  // SmoothedPhiBatch and the SIMD AccumulateContributions path must not
+  // touch the heap at all (not even on their first call -- there is no
+  // warm-up state to grow).
   Rng rng(41);
   const std::size_t n = 3000;
   Vector a(n);
   Vector b(n);
   Vector out(n);
   Vector acc(n, 0.0);
-  Vector scores(n);
   for (std::size_t j = 0; j < n; ++j) {
     a[j] = SampleLognormal(rng, 0.0, 0.8) - 1.0;
     b[j] = std::abs(a[j]);
-    scores[j] = rng.Uniform(-1.0, 1.0);
   }
   const RobustMeanEstimator estimator(2.0, 1.0, SimdMode::kOn);
-  const ExponentialMechanism mechanism(0.1, 1.0);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 3; ++round) {
     SmoothedPhiBatch(a.data(), b.data(), out.data(), n, /*use_simd=*/true);
     estimator.AccumulateContributions(a.data(), n, acc.data());
     benchmark_sink = benchmark_sink + out[0] + acc[0];
-    benchmark_sink =
-        benchmark_sink +
-        static_cast<double>(mechanism.SelectGumbelSimd(scores, rng));
   }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "SIMD batch kernel allocated";

@@ -572,6 +572,47 @@ TEST(Serialize, UnknownLossAndBadEnumAreTypedErrors) {
   WireReader r(w.bytes());
   WireProblem out;
   EXPECT_EQ(DecodeWireProblem(r, &out).code(), StatusCode::kInvalidProblem);
+
+  // Version 1 keeps the bytes of two removed SolverSpec options at their
+  // offsets, right before and right after spec.simd: written as 0, and a
+  // SUBMIT that sets one fails in DecodeSubmit naming the field.
+  SubmitRequest request;
+  request.spec.simd = SimdMode::kOff;  // a nonzero byte between the two
+  WireWriter writer;
+  EncodeSubmit(writer, request);
+  const std::vector<std::uint8_t>& bytes = writer.bytes();
+  EXPECT_EQ(bytes.size(), 193u);  // the layout did not move
+  WireWriter header;  // everything EncodeSubmit writes before the spec
+  header.Str(request.tenant);
+  header.Str(request.solver);
+  header.Str(request.tag);
+  header.U64(request.seed);
+  header.F64(request.deadline_seconds);
+  header.Bool(request.stream);
+  const std::size_t simd_at = header.bytes().size() + 100;
+  ASSERT_EQ(bytes[simd_at], static_cast<std::uint8_t>(SimdMode::kOff));
+  const struct {
+    std::size_t offset;
+    const char* field;
+  } reserved[] = {{simd_at - 1, "spec.vector_noise_fill"},
+                  {simd_at + 1, "spec.simd_select"}};
+  for (const auto& byte : reserved) {
+    SCOPED_TRACE(byte.field);
+    EXPECT_EQ(bytes[byte.offset], 0);
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[byte.offset] = 1;
+    WireReader reader(flipped);
+    SubmitRequest decoded;
+    const Status status = DecodeSubmit(reader, &decoded);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidProblem);
+    EXPECT_NE(status.message().find(byte.field), std::string::npos)
+        << status.message();
+  }
+  WireReader reader(bytes);
+  SubmitRequest decoded;
+  ASSERT_TRUE(DecodeSubmit(reader, &decoded).ok());
+  EXPECT_EQ(decoded.spec.simd, SimdMode::kOff);
 }
 
 TEST(Serialize, NonFiniteProblemValuesAreTypedErrors) {

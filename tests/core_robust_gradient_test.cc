@@ -179,13 +179,17 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnNeighboringDatasets) {
 TEST(RobustGradientTest, SensitivityBoundHoldsOnEveryTableForPackedRows) {
   // The d = 10 serving fold shape, whose rows are packed many to one Catoni
   // kernel call. The last row is replaced by extremes from 1e-12 to 1e300
-  // (sign flips included) in two ways: its label, with w != 0, and its
+  // (sign flips included) in three ways: its label, with w != 0; its
   // features, with w = 0 and y = 1 so that every gradient coordinate is
   // exactly -x_ij and the tiny-b / cancellation-limit straddlers land on
-  // the thresholds. The l-inf move must stay within Sensitivity(m) exactly,
-  // on every table.
+  // the thresholds; and, on alg5's GLM loss, its features doubled with
+  // w = 0 and y = +-1, so that every coordinate -y x_ij / 2 is again exactly
+  // an extreme. (An extreme label is outside the logistic loss's domain.)
+  // The l-inf move must stay within Sensitivity(m) exactly, on every table.
   const std::size_t d = 10;
-  const SquaredLoss loss;
+  const SquaredLoss squared;
+  const LogisticLoss logistic(0.01);
+  enum class Family { kLabel, kFeatures, kLogisticFeatures };
   ForEachKernelMode([&](SimdMode mode) {
     for (const double scale : {0.5, 1.5, 7.0}) {
       for (const double beta : {0.1, 1.0, 10.0}) {
@@ -211,8 +215,15 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnEveryTableForPackedRows) {
           config.feature_dist = ScalarDistribution::Lognormal(0.0, 1.0);
           const Vector w_star = MakeL1BallTarget(d, rng);
           const Dataset data = GenerateLinear(config, w_star, rng);
+          const Dataset signs = GenerateLogistic(config, w_star, rng);
           const double bound = estimator.Sensitivity(m);
-          for (const bool label_family : {true, false}) {
+          for (const Family family : {Family::kLabel, Family::kFeatures,
+                                      Family::kLogisticFeatures}) {
+            const bool label_family = family == Family::kLabel;
+            const bool glm = family == Family::kLogisticFeatures;
+            const Loss& loss = glm ? static_cast<const Loss&>(logistic)
+                                   : static_cast<const Loss&>(squared);
+            const Dataset& original = glm ? signs : data;
             Vector w(d, 0.0);
             if (label_family) {
               for (std::size_t j = 0; j < d; ++j) {
@@ -220,27 +231,33 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnEveryTableForPackedRows) {
               }
             }
             Vector base;
-            estimator.Estimate(loss, FullView(data), w, base);
+            estimator.Estimate(loss, FullView(original), w, base);
             // The last row sits in the chunk's final, partial pack.
             const std::size_t row = m - 1;
-            Dataset neighbor = data;
+            Dataset neighbor = original;
+            const std::vector<double> labels =
+                glm ? std::vector<double>{1.0, -1.0} : std::vector<double>{1.0};
             for (const double magnitude : magnitudes) {
               for (const double v : {magnitude, -magnitude}) {
-                if (label_family) {
-                  neighbor.y[row] = v;
-                } else {
-                  neighbor.y[row] = 1.0;
-                  for (std::size_t j = 0; j < d; ++j) {
-                    neighbor.x(row, j) = j % 2 == 0 ? v : -v;
+                for (const double label : labels) {
+                  if (label_family) {
+                    neighbor.y[row] = v;
+                  } else {
+                    neighbor.y[row] = label;
+                    const double x = glm ? 2.0 * v : v;
+                    for (std::size_t j = 0; j < d; ++j) {
+                      neighbor.x(row, j) = j % 2 == 0 ? x : -x;
+                    }
                   }
-                }
-                Vector moved;
-                estimator.Estimate(loss, FullView(neighbor), w, moved);
-                for (std::size_t j = 0; j < d; ++j) {
-                  ASSERT_LE(std::abs(moved[j] - base[j]), bound)
-                      << "s=" << scale << " beta=" << beta << " m=" << m
-                      << " label_family=" << label_family << " v=" << v
-                      << " coordinate " << j;
+                  Vector moved;
+                  estimator.Estimate(loss, FullView(neighbor), w, moved);
+                  for (std::size_t j = 0; j < d; ++j) {
+                    ASSERT_LE(std::abs(moved[j] - base[j]), bound)
+                        << "s=" << scale << " beta=" << beta << " m=" << m
+                        << " family=" << static_cast<int>(family)
+                        << " v=" << v << " y=" << neighbor.y[row]
+                        << " coordinate " << j;
+                  }
                 }
               }
             }

@@ -156,64 +156,6 @@ TEST(ExponentialMechanismTest, GumbelAndLogSumExpAgreeInDistribution) {
   }
 }
 
-TEST(ExponentialMechanismTest, SimdGumbelMatchesScalarSelections) {
-  // Same seed, same uniform stream: the SIMD sampler differs from the
-  // scalar one only by a few ULP of Gumbel noise, so on generic scores the
-  // two must make the same selections (a disagreement requires a near-tie
-  // at the 1e-15 level).
-  Rng rng_scalar(23);
-  Rng rng_simd(23);
-  Rng score_rng(29);
-  const ExponentialMechanism mechanism(0.5, 1.0);
-  Vector scores(321);
-  int disagreements = 0;
-  const int draws = 2000;
-  for (int i = 0; i < draws; ++i) {
-    for (double& s : scores) s = score_rng.Uniform(-2.0, 2.0);
-    const std::size_t a = mechanism.SelectGumbel(scores, rng_scalar);
-    const std::size_t b = mechanism.SelectGumbelSimd(scores, rng_simd);
-    disagreements += (a == b) ? 0 : 1;
-  }
-  EXPECT_LE(disagreements, 2) << "of " << draws;
-}
-
-TEST(ExponentialMechanismTest, SimdGumbelMatchesTheoreticalFrequencies) {
-  // Distribution equivalence of the SIMD sampler against the exact softmax
-  // probabilities (the same pin GumbelMatchesTheoreticalFrequencies applies
-  // to the scalar sampler).
-  const Vector scores = {0.0, 1.0, 2.0, 0.5};
-  const double epsilon = 2.0;
-  const double sensitivity = 1.0;
-  const ExponentialMechanism mechanism(sensitivity, epsilon);
-  Rng rng(31);
-  std::vector<int> counts(scores.size(), 0);
-  const int draws = 200000;
-  for (int i = 0; i < draws; ++i) {
-    counts[mechanism.SelectGumbelSimd(scores, rng)]++;
-  }
-  double normalizer = 0.0;
-  for (double s : scores) normalizer += std::exp(epsilon * s / 2.0);
-  for (std::size_t r = 0; r < scores.size(); ++r) {
-    const double expected = std::exp(epsilon * scores[r] / 2.0) / normalizer;
-    EXPECT_NEAR(static_cast<double>(counts[r]) / draws, expected, 0.01)
-        << "candidate " << r;
-  }
-}
-
-TEST(ExponentialMechanismTest, SimdGumbelFallsBackToScalarWhenDisabled) {
-  // With the process toggle off the SIMD entry point must reproduce the
-  // scalar sampler bit for bit (same draws, same selections).
-  ScopedSimdOverride off(false);
-  const Vector scores = {0.3, -0.2, 1.7, 0.9, 0.9, -3.0};
-  const ExponentialMechanism mechanism(0.25, 1.5);
-  Rng rng_a(37);
-  Rng rng_b(37);
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_EQ(mechanism.SelectGumbel(scores, rng_a),
-              mechanism.SelectGumbelSimd(scores, rng_b));
-  }
-}
-
 TEST(ExponentialMechanismTest, UtilityLemmaHolds) {
   // Lemma 1: Pr[u(output) <= OPT - (2 Delta / eps)(ln|R| + t)] <= e^-t.
   const std::size_t range = 64;

@@ -51,68 +51,6 @@ TEST(GaussianMechanismTest, VectorPrivatizeTouchesEveryCoordinate) {
   for (double v : value) EXPECT_NE(v, 0.0);
 }
 
-TEST(GaussianMechanismTest, FilledVariantMatchesFillNormalStream) {
-  const GaussianMechanism mechanism(1.0, 1.0, 1e-5);
-  Rng rng(9);
-  Vector value(17, 0.25);
-  Vector scratch;
-  mechanism.PrivatizeInPlaceFilled(value, scratch, rng);
-
-  Rng ref_rng(9);
-  Vector noise(17);
-  FillNormal(ref_rng, noise.data(), noise.size());
-  for (std::size_t j = 0; j < value.size(); ++j) {
-    EXPECT_EQ(value[j], 0.25 + mechanism.sigma() * noise[j]) << "j=" << j;
-  }
-}
-
-TEST(BaselineSolverTest, VectorNoiseFillFlagGatesTheStreamChange) {
-  Rng data_rng(13);
-  SyntheticConfig config;
-  config.n = 1200;
-  config.d = 16;
-  config.feature_dist = ScalarDistribution::Lognormal(0.0, 0.6);
-  const Vector w_star = MakeL1BallTarget(config.d, data_rng);
-  const Dataset data = GenerateLinear(config, w_star, data_rng);
-  const SquaredLoss loss;
-  Problem problem;
-  problem.loss = &loss;
-  problem.data = &data;
-
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.tau = 4.0;
-  spec.iterations = 4;
-  spec.scale = 2.0;
-
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().TryCreate(kSolverBaselineRobustGd).value();
-
-  // Default off: two runs agree bit for bit (pinned-seed contract).
-  Rng rng_a(55);
-  Rng rng_b(55);
-  const FitResult off_a = solver->TryFit(problem, spec, rng_a).value();
-  const FitResult off_b = solver->TryFit(problem, spec, rng_b).value();
-  for (std::size_t j = 0; j < off_a.w.size(); ++j) {
-    ASSERT_EQ(off_a.w[j], off_b.w[j]);
-  }
-
-  // On: deterministic per seed, but a different stream than the default.
-  SolverSpec filled = spec;
-  filled.vector_noise_fill = true;
-  Rng rng_c(55);
-  Rng rng_d(55);
-  const FitResult on_a = solver->TryFit(problem, filled, rng_c).value();
-  const FitResult on_b = solver->TryFit(problem, filled, rng_d).value();
-  bool any_difference = false;
-  for (std::size_t j = 0; j < on_a.w.size(); ++j) {
-    ASSERT_EQ(on_a.w[j], on_b.w[j]);
-    if (on_a.w[j] != off_a.w[j]) any_difference = true;
-  }
-  EXPECT_TRUE(any_difference)
-      << "vector_noise_fill=true should change the noise stream";
-}
-
 TEST(DpRobustGdTest, SpendsEpsilonPerFoldInParallel) {
   Rng rng(7);
   SyntheticConfig config;

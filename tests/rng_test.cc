@@ -233,56 +233,6 @@ TEST(ScalarDistributionTest, FactoryAndSampleDispatch) {
   EXPECT_EQ(ScalarDistribution::None().Name(), "None");
 }
 
-TEST(DistributionsTest, FillNormalMatchesBoxMullerPairReference) {
-  // FillNormal consumes one (u1, u2) pair per TWO outputs: out[2k] the cos
-  // branch (exactly SampleNormal's draw), out[2k+1] the sin branch.
-  Rng fill_rng(123);
-  std::vector<double> out(8);
-  FillNormal(fill_rng, out.data(), out.size());
-
-  Rng ref_rng(123);
-  for (std::size_t k = 0; k < out.size() / 2; ++k) {
-    const double u1 = ref_rng.UniformOpen();
-    const double u2 = ref_rng.UniformUnit();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    EXPECT_EQ(out[2 * k], r * std::cos(2.0 * std::numbers::pi * u2));
-    EXPECT_EQ(out[2 * k + 1], r * std::sin(2.0 * std::numbers::pi * u2));
-  }
-  // Both generators must be at the same stream position afterwards.
-  EXPECT_EQ(fill_rng.Next(), ref_rng.Next());
-}
-
-TEST(DistributionsTest, FillNormalOddLengthConsumesFinalPair) {
-  Rng fill_rng(7);
-  std::vector<double> out(5);
-  FillNormal(fill_rng, out.data(), out.size());
-
-  Rng ref_rng(7);
-  for (int pair = 0; pair < 3; ++pair) {
-    ref_rng.UniformOpen();
-    ref_rng.UniformUnit();
-  }
-  EXPECT_EQ(fill_rng.Next(), ref_rng.Next());
-  // The first entry matches the scalar sampler bit for bit.
-  Rng scalar_rng(7);
-  EXPECT_EQ(out[0], SampleNormal(scalar_rng));
-}
-
-TEST(DistributionsTest, FillNormalMomentsMatch) {
-  Rng rng(31);
-  const std::size_t n = 200000;
-  std::vector<double> values(n);
-  FillNormal(rng, values.data(), n);
-  double mean = 0.0;
-  for (double v : values) mean += v;
-  mean /= static_cast<double>(n);
-  double var = 0.0;
-  for (double v : values) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(n);
-  EXPECT_NEAR(mean, 0.0, 0.01);
-  EXPECT_NEAR(var, 1.0, 0.02);
-}
-
 TEST(ScalarDistributionTest, SamplingIsDeterministicPerSeed) {
   const ScalarDistribution dist = ScalarDistribution::StudentT(10.0);
   Rng a(99);

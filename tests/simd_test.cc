@@ -99,25 +99,6 @@ TEST(SimdMathTest, ExpPdWithinDocumentedUlpBound) {
   EXPECT_TRUE(std::isinf(Lane0(simd::ExpPd, 710.0)));
 }
 
-TEST(SimdMathTest, LogPdWithinDocumentedUlpBound) {
-  // Documented bound: 4 ULP over positive normals (observed ~2.0).
-  for (int i = 1; i <= 20000; ++i) {
-    const double x =
-        std::exp(-300.0 + 600.0 * static_cast<double>(i) / 20000.0);
-    const double got = Lane0(simd::LogPd, x);
-    const double ref = std::log(x);
-    ASSERT_LE(std::abs(got - ref), 4.0 * UlpOf(ref)) << "x=" << x;
-  }
-  // Dense near 1, where cancellation is hardest.
-  for (int i = 0; i <= 20000; ++i) {
-    const double x = 0.5 + 1.5 * static_cast<double>(i) / 20000.0;
-    const double got = Lane0(simd::LogPd, x);
-    const double ref = std::log(x);
-    ASSERT_LE(std::abs(got - ref), 4.0 * UlpOf(ref)) << "x=" << x;
-  }
-  EXPECT_EQ(Lane0(simd::LogPd, 1.0), 0.0);
-}
-
 TEST(SimdMathTest, ErfcxPdWithinDocumentedRelativeBound) {
   // Documented bound: 4e-15 relative on y >= 0 (observed ~8e-16 against
   // long-double references). The double-precision reference available here,
@@ -305,12 +286,10 @@ void CompareTables(const SimdKernelTable& table, Check&& check) {
   std::vector<double> a(n);
   std::vector<double> b(n);
   std::vector<double> xs(n);
-  std::vector<double> u(n);
   for (std::size_t i = 0; i < n; ++i) {
     a[i] = rng.Uniform(-30.0, 30.0);
     b[i] = std::abs(a[i]) / 2.0 + 1e-3;
     xs[i] = rng.Uniform(-40.0, 40.0);
-    u[i] = rng.UniformOpen();
   }
   const SimdKernelTable* base = simd_dispatch_internal::BaseTable();
   ASSERT_NE(base, nullptr);
@@ -326,11 +305,6 @@ void CompareTables(const SimdKernelTable& table, Check&& check) {
   table.smoothed_phi_transform(xs.data(), 256, 2.0, 1.5, got.data());
   for (std::size_t i = 0; i < 256; ++i) {
     check("smoothed_phi_transform", i, got[i], want[i]);
-  }
-  base->gumbel_from_uniform(u.data(), want.data(), n);
-  table.gumbel_from_uniform(u.data(), got.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    check("gumbel_from_uniform", i, got[i], want[i]);
   }
   // Full and partial rank-update blocks over a d with a lane tail.
   const std::size_t d = 37;
@@ -383,8 +357,7 @@ TEST(SimdDispatchTest, Avx512TableWithinDocumentedTolerances) {
         std::string(kernel) == "smoothed_phi_transform") {
       ASSERT_NEAR(got, want, 2.0 * PhiBound() * 1e-12 + 1e-13)
           << kernel << "[" << i << "]";
-    } else if (std::string(kernel) == "gumbel_from_uniform" ||
-               std::string(kernel) == "rank_update_upper") {
+    } else if (std::string(kernel) == "rank_update_upper") {
       ASSERT_EQ(got, want) << kernel << "[" << i << "]";  // elementwise
     } else {
       ASSERT_NEAR(got, want, 1e-12 * (std::abs(want) + 1.0))
