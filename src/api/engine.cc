@@ -108,6 +108,7 @@ void ObserveFitLatency(const std::string& tenant, double seconds) {
 /// - `running` counts claimed jobs until their completion publishes, so
 ///   Drain()'s `queue.empty() && running == 0` is exact.
 /// - Lock order: `mu` -> a record's mu, never the reverse.
+/// - Complete() is the only function that publishes a result.
 struct EngineShared {
   std::mutex mu;
   std::condition_variable work_cv;  // backlog became non-empty / stopping
@@ -128,8 +129,7 @@ struct EngineShared {
   std::map<std::string, std::size_t> tenant_inflight;
 
   // Counters (guarded by mu). Every submitted job increments `completed`
-  // exactly once: at Submit for inline failures, in RunJob's finish, in
-  // Cancel's queued branch, or in Shutdown's orphan sweep.
+  // exactly once, in Complete().
   std::size_t submitted = 0;
   std::size_t completed = 0;
   std::size_t succeeded = 0;
@@ -163,53 +163,25 @@ struct JobRecord {
   /// span and the origin of the per-tenant fit-latency observation.
   std::uint64_t submit_ns = 0;
 
-  /// True while the job holds a tenant-budget reservation. Only the path
-  /// that completes the job (see the EngineShared invariants) reads or
-  /// clears it, so no extra synchronization is needed.
+  /// True while the job holds a tenant-budget reservation; `reservation`
+  /// is the BudgetManager::Reserve id opened at Submit. Only Complete()
+  /// closes it, so no extra synchronization is needed.
   bool charged = false;
-
-  /// The open reservation backing `charged` (BudgetManager::Reserve at
-  /// Submit). Closed exactly once: CommitIfCharged when the job released
-  /// mechanism output, RefundIfCharged when it provably never ran.
   BudgetManager::ReservationId reservation = 0;
+
+  /// Set by the worker that pops the job (under the engine mutex) and by
+  /// RunJob just before TryFit. Read only by the completing path.
+  bool claimed = false;
+  bool fit_ran = false;
 
   /// True while the job counts against its tenant's inflight cap. Guarded
   /// by the ENGINE mutex (the count lives in EngineShared::tenant_inflight).
   bool counted_inflight = false;
 
-  /// Aborts the tenant reservation of a job that released no mechanism
-  /// output: the budget becomes available again (journaled as ABORT when
-  /// the manager is durable). Call only from the completing path.
-  void RefundIfCharged(BudgetManager* budgets) {
-    if (!charged || budgets == nullptr) return;
-    (void)budgets->Abort(reservation);
-    charged = false;
-  }
-
-  /// Finalizes the reservation of a job whose fit ran (or may have run):
-  /// the spend is permanent (journaled as COMMIT when the manager is
-  /// durable). Call only from the completing path.
-  void CommitIfCharged(BudgetManager* budgets) {
-    if (!charged || budgets == nullptr) return;
-    (void)budgets->Commit(reservation);
-    charged = false;
-  }
-
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
   std::optional<StatusOr<FitResult>> result;
-
-  /// Publishes the outcome and wakes Wait(). Called exactly once, by the
-  /// path that owns the job's completion.
-  void Complete(StatusOr<FitResult> outcome) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      result.emplace(std::move(outcome));
-      done = true;
-    }
-    cv.notify_all();
-  }
 
   std::string Describe() const {
     std::string what = "job";
@@ -218,26 +190,120 @@ struct JobRecord {
   }
 };
 
-/// Returns the job's slot in its tenant's inflight count. Caller must hold
-/// the engine mutex; idempotent (every completion path calls it once).
-void ReleaseTenantInflightLocked(EngineShared& engine, JobRecord& record) {
-  if (!record.counted_inflight) return;
-  record.counted_inflight = false;
-  const auto it = engine.tenant_inflight.find(record.job.tenant);
-  if (it != engine.tenant_inflight.end()) {
-    if (it->second <= 1) {
-      engine.tenant_inflight.erase(it);
+/// How a job ended. Each outcome bumps `completed` plus its row of
+/// kOutcomeCounters, in EngineShared and in the exported metrics alike.
+enum class Outcome {
+  kSucceeded,
+  kFailed,
+  kBudgetRejected,    // tenant reservation refused at Submit
+  kShed,              // queue cap or tenant inflight cap at Submit
+  kCancelled,
+  kDeadlineExceeded,
+  kShedExpired,       // deadline passed while queued; shed at dequeue
+};
+
+struct OutcomeCounters {
+  std::size_t EngineShared::* shared[2];
+  obs::Counter* EngineMetrics::* exported[2];
+};
+
+constexpr OutcomeCounters kOutcomeCounters[] = {
+    {{&EngineShared::succeeded}, {&EngineMetrics::succeeded}},
+    {{&EngineShared::failed}, {&EngineMetrics::failed}},
+    {{&EngineShared::failed, &EngineShared::budget_rejected},
+     {&EngineMetrics::failed, &EngineMetrics::budget_rejected}},
+    {{&EngineShared::failed, &EngineShared::unavailable_rejected},
+     {&EngineMetrics::failed, &EngineMetrics::shed}},
+    {{&EngineShared::cancelled}, {&EngineMetrics::cancelled}},
+    {{&EngineShared::deadline_exceeded}, {&EngineMetrics::deadline_exceeded}},
+    {{&EngineShared::deadline_exceeded, &EngineShared::shed_expired},
+     {&EngineMetrics::deadline_exceeded, &EngineMetrics::shed_expired}},
+};
+
+/// True when `status` proves the fit released no mechanism output: every
+/// solver validates before its first mechanism invocation, so these codes
+/// can only come from that up-front check.
+bool ReleasedNothing(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kInvalidProblem:
+    case StatusCode::kBudgetExhausted:
+    case StatusCode::kShapeMismatch:
+    case StatusCode::kUnknownSolver:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Completes `record` -- the only function that publishes a job's result.
+/// `lock` is on engine.mu: held by callers that just took the record out of
+/// the queue (or never queued it), free on the worker path. In order:
+///  1. closes the tenant reservation: Commit when a worker ran TryFit and
+///     the status does not prove that nothing was released, Abort
+///     otherwise. The worker closes it (and observes the claimed job's
+///     latency) before taking `mu`, so a durable journal's fsync never
+///     stalls the queue;
+///  2. under `mu`, counts the outcome, retires a claimed job from
+///     `running`, returns the tenant's inflight slot and publishes;
+///  3. after unlocking, wakes Drain() and runs FitJob::on_complete.
+void Complete(EngineShared& engine, std::unique_lock<std::mutex>& lock,
+              JobRecord& record, Outcome outcome, StatusOr<FitResult> result) {
+  if (record.charged && engine.budgets != nullptr) {
+    if (record.fit_ran && !ReleasedNothing(result.status())) {
+      (void)engine.budgets->Commit(record.reservation);
     } else {
-      --it->second;
+      (void)engine.budgets->Abort(record.reservation);
+    }
+    record.charged = false;
+  }
+  if (record.claimed) {
+    ObserveFitLatency(
+        record.job.tenant,
+        static_cast<double>(obs::NowNanos() - record.submit_ns) * 1e-9);
+  }
+  if (!lock.owns_lock()) lock.lock();
+
+  // The exported counters move before the publish: a client that sees its
+  // result and immediately scrapes METRICS finds the job already counted.
+  EngineMetrics& met = Met();
+  ++engine.completed;
+  met.completed->Increment();
+  const OutcomeCounters& row = kOutcomeCounters[static_cast<int>(outcome)];
+  for (std::size_t EngineShared::* counter : row.shared) {
+    if (counter != nullptr) ++(engine.*counter);
+  }
+  for (obs::Counter* EngineMetrics::* counter : row.exported) {
+    if (counter != nullptr) (met.*counter)->Increment();
+  }
+  if (record.claimed) {
+    --engine.running;
+    met.running->Set(static_cast<double>(engine.running));
+  }
+  if (record.counted_inflight) {
+    record.counted_inflight = false;
+    const auto it = engine.tenant_inflight.find(record.job.tenant);
+    if (it != engine.tenant_inflight.end() && --it->second == 0) {
+      engine.tenant_inflight.erase(it);
     }
   }
+  {
+    const std::lock_guard<std::mutex> record_lock(record.mu);
+    record.result.emplace(std::move(result));
+    record.done = true;
+  }
+  lock.unlock();
+  record.cv.notify_all();
+  engine.idle_cv.notify_all();
+  const std::function<void()> on_complete = std::move(record.job.on_complete);
+  if (on_complete) on_complete();
 }
 
 }  // namespace engine_internal
 
+using engine_internal::Complete;
 using engine_internal::EngineShared;
 using engine_internal::JobRecord;
-using engine_internal::ReleaseTenantInflightLocked;
+using engine_internal::Outcome;
 
 const std::string& JobHandle::tag() const {
   HTDP_CHECK(record_ != nullptr) << "JobHandle is empty";
@@ -260,29 +326,16 @@ void JobHandle::Cancel() {
   // the cancellation immediately, not after a worker drains to it. A job
   // missing from the queue was already claimed by a worker (it observes
   // `cancel` at its pre-run check or next iteration poll) or completed.
-  bool completed = false;
-  {
-    const std::lock_guard<std::mutex> engine_lock(engine->mu);
-    const auto it =
-        std::find(engine->queue.begin(), engine->queue.end(), record_);
-    if (it != engine->queue.end()) {
-      engine->queue.erase(it);
-      // Close the reservation before the result becomes observable so
-      // Wait() never races the refund.
-      record_->RefundIfCharged(engine->budgets);  // cancelled before running
-      record_->Complete(Status::Cancelled(record_->Describe() +
-                                          " cancelled before it started"));
-      ++engine->completed;
-      ++engine->cancelled;
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().cancelled->Increment();
-      engine_internal::Met().queue_depth->Set(
-          static_cast<double>(engine->queue.size()));
-      ReleaseTenantInflightLocked(*engine, *record_);
-      completed = true;
-    }
-  }
-  if (completed) engine->idle_cv.notify_all();
+  std::unique_lock<std::mutex> lock(engine->mu);
+  const auto it =
+      std::find(engine->queue.begin(), engine->queue.end(), record_);
+  if (it == engine->queue.end()) return;
+  engine->queue.erase(it);
+  engine_internal::Met().queue_depth->Set(
+      static_cast<double>(engine->queue.size()));
+  Complete(*engine, lock, *record_, Outcome::kCancelled,
+           Status::Cancelled(record_->Describe() +
+                             " cancelled before it started"));
 }
 
 const StatusOr<FitResult>& JobHandle::Wait() const& {
@@ -345,25 +398,18 @@ JobHandle Engine::Submit(FitJob job) {
   // Resolve the solver up front so an unknown name fails fast with the
   // registry's typed Status (listing the known names) instead of occupying
   // a worker.
+  Status refused;
+  Outcome refused_as = Outcome::kFailed;
   if (record->job.solver != nullptr) {
     record->solver = record->job.solver;
   } else {
     StatusOr<const Solver*> found =
         SolverRegistry::Global().Find(record->job.solver_name);
-    if (!found.ok()) {
-      {
-        const std::lock_guard<std::mutex> lock(state_->mu);
-        ++state_->submitted;
-        ++state_->completed;
-        ++state_->failed;
-        record->Complete(found.status());
-      }
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().failed->Increment();
-      state_->idle_cv.notify_all();
-      return JobHandle(std::move(record));
+    if (found.ok()) {
+      record->solver = *found;
+    } else {
+      refused = found.status();
     }
-    record->solver = *found;
   }
 
   // Tenant-budget admission: reserve the job's spec.budget from its named
@@ -372,7 +418,7 @@ JobHandle Engine::Submit(FitJob job) {
   // kInvalidProblem for an unknown tenant or an Engine without a
   // BudgetManager) -- no work runs, no privacy is spent. Reservation takes
   // only the manager's own lock, never the engine mutex.
-  if (!record->job.tenant.empty()) {
+  if (refused.ok() && !record->job.tenant.empty()) {
     StatusOr<BudgetManager::ReservationId> reservation =
         state_->budgets != nullptr
             ? state_->budgets->Reserve(record->job.tenant,
@@ -382,78 +428,42 @@ JobHandle Engine::Submit(FitJob job) {
                   record->job.tenant +
                   "\" but the Engine has no BudgetManager "
                   "(set Engine::Options::budgets)"));
-    Status reserved = reservation.status();
-    if (!reserved.ok()) {
-      const bool exhausted =
-          reserved.code() == StatusCode::kBudgetExhausted;
-      {
-        const std::lock_guard<std::mutex> lock(state_->mu);
-        ++state_->submitted;
-        ++state_->completed;
-        ++state_->failed;
-        if (exhausted) {
-          ++state_->budget_rejected;
-        }
-        record->Complete(std::move(reserved));
+    if (reservation.ok()) {
+      record->charged = true;
+      record->reservation = reservation.value();
+    } else {
+      refused = reservation.status();
+      if (refused.code() == StatusCode::kBudgetExhausted) {
+        refused_as = Outcome::kBudgetRejected;
       }
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().failed->Increment();
-      if (exhausted) engine_internal::Met().budget_rejected->Increment();
-      state_->idle_cv.notify_all();
-      return JobHandle(std::move(record));
     }
-    record->charged = true;
-    record->reservation = reservation.value();
   }
 
-  bool rejected = false;
-  bool shed = false;
-  {
-    const std::lock_guard<std::mutex> lock(state_->mu);
-    ++state_->submitted;
-    if (state_->stop) {
-      ++state_->completed;
-      ++state_->cancelled;
-      record->RefundIfCharged(state_->budgets);  // never ran
-      record->Complete(Status::Cancelled(record->Describe() +
-                                         " submitted after Engine shutdown"));
-      rejected = true;
-    } else if (Status admitted = AdmitLocked(*record); !admitted.ok()) {
-      // Overload shedding: the queue watermark latch or the tenant inflight
-      // cap refused the job. kUnavailable is retryable by contract -- the
-      // job never ran, and the reservation is closed BEFORE the completion
-      // publishes so no observer can see a shed job still holding budget.
-      ++state_->completed;
-      ++state_->failed;
-      ++state_->unavailable_rejected;
-      record->RefundIfCharged(state_->budgets);  // never ran
-      record->Complete(std::move(admitted));
-      rejected = true;
-      shed = true;
-    } else {
-      record->engine = state_;
-      state_->queue.push_back(record);
-      engine_internal::Met().queue_depth->Set(
-          static_cast<double>(state_->queue.size()));
-      if (!record->job.tenant.empty() &&
-          state_->max_inflight_per_tenant > 0) {
-        ++state_->tenant_inflight[record->job.tenant];
-        record->counted_inflight = true;
-      }
+  std::unique_lock<std::mutex> lock(state_->mu);
+  ++state_->submitted;
+  if (!refused.ok()) {
+    Complete(*state_, lock, *record, refused_as, std::move(refused));
+  } else if (state_->stop) {
+    Complete(*state_, lock, *record, Outcome::kCancelled,
+             Status::Cancelled(record->Describe() +
+                               " submitted after Engine shutdown"));
+  } else if (Status admitted = AdmitLocked(*record); !admitted.ok()) {
+    // Overload shedding: the queue watermark latch or the tenant inflight
+    // cap refused the job. kUnavailable is retryable by contract -- the
+    // job never ran, so Complete() returns its reservation.
+    Complete(*state_, lock, *record, Outcome::kShed, std::move(admitted));
+  } else {
+    record->engine = state_;
+    state_->queue.push_back(record);
+    engine_internal::Met().queue_depth->Set(
+        static_cast<double>(state_->queue.size()));
+    if (!record->job.tenant.empty() && state_->max_inflight_per_tenant > 0) {
+      ++state_->tenant_inflight[record->job.tenant];
+      record->counted_inflight = true;
     }
+    lock.unlock();
+    state_->work_cv.notify_one();
   }
-  if (rejected) {
-    engine_internal::Met().completed->Increment();
-    if (shed) {
-      engine_internal::Met().failed->Increment();
-      engine_internal::Met().shed->Increment();
-    } else {
-      engine_internal::Met().cancelled->Increment();
-    }
-    state_->idle_cv.notify_all();
-    return JobHandle(std::move(record));
-  }
-  state_->work_cv.notify_one();
   return JobHandle(std::move(record));
 }
 
@@ -498,12 +508,11 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
 void Engine::WorkerMain() {
   for (;;) {
     std::shared_ptr<JobRecord> record;
-    bool shed = false;
     {
       std::unique_lock<std::mutex> lock(state_->mu);
       state_->work_cv.wait(
           lock, [&] { return state_->stop || !state_->queue.empty(); });
-      if (state_->queue.empty()) return;  // stopping; Shutdown swept the queue
+      if (state_->stop) return;  // Shutdown sweeps the queue
       record = std::move(state_->queue.front());
       state_->queue.pop_front();
       engine_internal::Met().queue_depth->Set(
@@ -511,30 +520,21 @@ void Engine::WorkerMain() {
       // Deadline-aware shedding: a job whose wall-clock deadline already
       // expired while it sat queued is completed right here -- the worker
       // immediately pops the next job instead of spinning up RunJob for a
-      // fit that could only ever report kDeadlineExceeded. The reservation
-      // closes BEFORE the completion publishes: a waiter that sees the shed
-      // finds the budget already returned.
+      // fit that could only ever report kDeadlineExceeded.
       if (record->has_deadline &&
           engine_internal::Clock::now() >= record->deadline) {
-        record->RefundIfCharged(state_->budgets);  // never ran
-        record->Complete(Status::DeadlineExceeded(
-            record->Describe() + " deadline expired while queued; shed"));
-        ++state_->completed;
-        ++state_->deadline_exceeded;
-        ++state_->shed_expired;
-        engine_internal::Met().completed->Increment();
-        engine_internal::Met().deadline_exceeded->Increment();
-        engine_internal::Met().shed_expired->Increment();
-        ReleaseTenantInflightLocked(*state_, *record);
-        shed = true;
-      } else {
-        ++state_->running;  // claimed: no other path can complete it now
-        engine_internal::Met().running->Set(
-            static_cast<double>(state_->running));
+        Complete(*state_, lock, *record, Outcome::kShedExpired,
+                 Status::DeadlineExceeded(
+                     record->Describe() +
+                     " deadline expired while queued; shed"));
+        continue;
       }
+      record->claimed = true;  // no other path can complete it now
+      ++state_->running;
+      engine_internal::Met().running->Set(
+          static_cast<double>(state_->running));
     }
-    if (!shed) RunJob(*record);
-    state_->idle_cv.notify_all();
+    RunJob(*record);
   }
 }
 
@@ -543,80 +543,22 @@ void Engine::RunJob(JobRecord& record) {
   // covers the full time the job sat before a worker picked it up.
   obs::RecordSpan("engine.queue_wait", record.submit_ns, obs::NowNanos());
   HTDP_TRACE_SPAN("engine.job");
-  // Refunds the tenant reservation when the outcome proves no mechanism
-  // output was released: the job never started, or the solver rejected it
-  // in its up-front validation (every solver validates before its first
-  // mechanism invocation; only kCancelled/kDeadlineExceeded can interrupt a
-  // fit that already released iterations).
-  const auto refund_if_unreleased = [&](const Status& status) {
-    switch (status.code()) {
-      case StatusCode::kInvalidProblem:
-      case StatusCode::kBudgetExhausted:
-      case StatusCode::kShapeMismatch:
-      case StatusCode::kUnknownSolver:
-        record.RefundIfCharged(state_->budgets);
-        break;
-      default:
-        break;
-    }
-  };
-
-  const auto finish = [&](StatusOr<FitResult> outcome,
-                          std::size_t EngineShared::* counter) {
-    // Whatever reservation the refund paths above left standing is now
-    // final: the fit ran (or may have released iterations before a cancel/
-    // deadline stop), so its spend commits. This happens BEFORE the
-    // completion is published -- when Drain() returns, every reservation
-    // is closed and the conservation invariant (open == 0) holds.
-    record.CommitIfCharged(state_->budgets);
-    // Export the obs counters BEFORE publishing the completion: a client
-    // that sees its result and immediately scrapes METRICS must find this
-    // job already counted (the registry is lock-free, so ordering is the
-    // only synchronization the scrape gets).
-    engine_internal::EngineMetrics& met = engine_internal::Met();
-    met.completed->Increment();
-    if (counter == &EngineShared::succeeded) {
-      met.succeeded->Increment();
-    } else if (counter == &EngineShared::failed) {
-      met.failed->Increment();
-    } else if (counter == &EngineShared::cancelled) {
-      met.cancelled->Increment();
-    } else if (counter == &EngineShared::deadline_exceeded) {
-      met.deadline_exceeded->Increment();
-    }
-    engine_internal::ObserveFitLatency(
-        record.job.tenant,
-        static_cast<double>(obs::NowNanos() - record.submit_ns) * 1e-9);
-    {
-      // Publish the result and update the counters in one engine-mutex
-      // critical section (engine mu -> record mu is the global lock order):
-      // when Drain() sees running == 0 the result is already observable,
-      // and when a waiter returns from Wait() the next stats() call --
-      // which must acquire the engine mutex -- already includes this job.
-      const std::lock_guard<std::mutex> lock(state_->mu);
-      record.Complete(std::move(outcome));
-      --state_->running;
-      ++state_->completed;
-      ++((*state_).*counter);
-      ReleaseTenantInflightLocked(*state_, record);
-      engine_internal::Met().running->Set(
-          static_cast<double>(state_->running));
-    }
+  std::unique_lock<std::mutex> lock(state_->mu, std::defer_lock);
+  const auto finish = [&](Outcome outcome, StatusOr<FitResult> result) {
+    Complete(*state_, lock, record, outcome, std::move(result));
   };
 
   if (record.cancel.load(std::memory_order_acquire)) {
-    record.RefundIfCharged(state_->budgets);  // never ran
-    finish(Status::Cancelled(record.Describe() +
-                             " cancelled before it started"),
-           &EngineShared::cancelled);
+    finish(Outcome::kCancelled,
+           Status::Cancelled(record.Describe() +
+                             " cancelled before it started"));
     return;
   }
   if (record.has_deadline &&
       engine_internal::Clock::now() >= record.deadline) {
-    record.RefundIfCharged(state_->budgets);  // never ran
-    finish(Status::DeadlineExceeded(record.Describe() +
-                                    " missed its deadline while queued"),
-           &EngineShared::deadline_exceeded);
+    finish(Outcome::kDeadlineExceeded,
+           Status::DeadlineExceeded(record.Describe() +
+                                    " missed its deadline while queued"));
     return;
   }
 
@@ -637,6 +579,7 @@ void Engine::RunJob(JobRecord& record) {
 
   Rng rng = record.job.rng.has_value() ? *record.job.rng
                                        : Rng(record.job.seed);
+  record.fit_ran = true;
   StatusOr<FitResult> result =
       record.solver->TryFit(record.job.problem, spec, rng);
 
@@ -655,11 +598,11 @@ void Engine::RunJob(JobRecord& record) {
     // a result delivered late is a deadline miss, not a success.
     if (record.has_deadline &&
         engine_internal::Clock::now() >= record.deadline) {
-      finish(Status::DeadlineExceeded(record.Describe() +
-                                      " finished after its deadline"),
-             &EngineShared::deadline_exceeded);
+      finish(Outcome::kDeadlineExceeded,
+             Status::DeadlineExceeded(record.Describe() +
+                                      " finished after its deadline"));
     } else {
-      finish(std::move(result), &EngineShared::succeeded);
+      finish(Outcome::kSucceeded, std::move(result));
     }
     return;
   }
@@ -669,16 +612,15 @@ void Engine::RunJob(JobRecord& record) {
     if (!record.cancel.load(std::memory_order_acquire) &&
         record.has_deadline &&
         engine_internal::Clock::now() >= record.deadline) {
-      finish(Status::DeadlineExceeded(record.Describe() +
-                                      " missed its deadline mid-fit"),
-             &EngineShared::deadline_exceeded);
+      finish(Outcome::kDeadlineExceeded,
+             Status::DeadlineExceeded(record.Describe() +
+                                      " missed its deadline mid-fit"));
     } else {
-      finish(tagged(result.status()), &EngineShared::cancelled);
+      finish(Outcome::kCancelled, tagged(result.status()));
     }
     return;
   }
-  refund_if_unreleased(result.status());
-  finish(tagged(result.status()), &EngineShared::failed);
+  finish(Outcome::kFailed, tagged(result.status()));
 }
 
 void Engine::Drain() {
@@ -694,29 +636,25 @@ void Engine::Shutdown() {
   // Serializes concurrent Shutdown() callers (incl. the destructor) so the
   // join below runs exactly once.
   const std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
-  {
-    const std::lock_guard<std::mutex> lock(state_->mu);
-    if (state_->stop && workers_.empty()) return;  // already shut down
-    state_->stop = true;
-    // Complete the queued orphans while still holding the engine mutex:
-    // taking them out of the queue makes this path their unique completion
-    // owner. Jobs a worker already claimed are not orphans -- the join below
-    // waits for them to finish.
-    for (const std::shared_ptr<JobRecord>& record : state_->queue) {
-      record->RefundIfCharged(state_->budgets);  // never ran
-      record->Complete(Status::Cancelled(record->Describe() +
-                                         " cancelled by Engine shutdown"));
-      ++state_->completed;
-      ++state_->cancelled;
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().cancelled->Increment();
-      ReleaseTenantInflightLocked(*state_, *record);
-    }
-    state_->queue.clear();
-    engine_internal::Met().queue_depth->Set(0.0);
+  std::unique_lock<std::mutex> lock(state_->mu);
+  if (state_->stop && workers_.empty()) return;  // already shut down
+  state_->stop = true;
+  // Complete the queued orphans: popping one under the engine mutex makes
+  // this path its unique completion owner, and workers leave the queue
+  // alone once `stop` is set. Jobs a worker already claimed are not
+  // orphans -- the join below waits for them (and their hooks) to finish.
+  while (!state_->queue.empty()) {
+    const std::shared_ptr<JobRecord> record = std::move(state_->queue.front());
+    state_->queue.pop_front();
+    engine_internal::Met().queue_depth->Set(
+        static_cast<double>(state_->queue.size()));
+    Complete(*state_, lock, *record, Outcome::kCancelled,
+             Status::Cancelled(record->Describe() +
+                               " cancelled by Engine shutdown"));
+    lock.lock();
   }
+  lock.unlock();
   state_->work_cv.notify_all();
-  state_->idle_cv.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,22 +62,25 @@ namespace htdp {
 /// SUBMIT TIME, under sequential composition across jobs; when the
 /// reservation does not fit, the job completes inline with a typed
 /// kBudgetExhausted Status and never reaches a worker -- no data is
-/// touched, no mechanism runs. The reservation is refunded automatically
-/// when the job provably released nothing: cancelled or shut down while
-/// still queued, rejected by the pre-run deadline/cancel checks, or failed
-/// by the solver's up-front validation (kInvalidProblem, kShapeMismatch,
-/// kUnknownSolver, kBudgetExhausted -- every solver validates before its
-/// first mechanism invocation). Jobs that ran iterations (success, mid-fit
-/// kCancelled or kDeadlineExceeded) stay charged: their released outputs
-/// are privacy spend whether or not the caller keeps the FitResult.
+/// touched, no mechanism runs.
+///
+/// The refund rule: a reservation is COMMITTED exactly when a worker ran
+/// the job's TryFit and the outcome is not one of kInvalidProblem,
+/// kShapeMismatch, kUnknownSolver or kBudgetExhausted (every solver
+/// validates before its first mechanism invocation, so those codes prove
+/// nothing was released). Every other outcome ABORTS it and the tenant gets
+/// the budget back: cancelled, shed or shut down before running, or
+/// rejected by the pre-run deadline/cancel checks. So a success, or a
+/// kCancelled / kDeadlineExceeded stop mid-fit, stays charged: released
+/// outputs are privacy spend whether or not the caller keeps the FitResult.
 ///
 /// The accounting is TWO-PHASE under the hood: Submit opens a
 /// BudgetManager reservation (a RESERVE record when the manager journals
-/// to a dp::BudgetStore), and the unique completing path closes it with
-/// exactly one Commit (spend final) or Abort (spend returned) before the
-/// completion is published -- so when Drain() returns, no reservation is
-/// open, and a crash between the phases is recovered conservatively (the
-/// dangling reserve counts as committed; see docs/durability.md).
+/// to a dp::BudgetStore), and the job's completion closes it with exactly
+/// one Commit or Abort before the result is published -- so when Drain()
+/// returns, no reservation is open, and a crash between the phases is
+/// recovered conservatively (the dangling reserve counts as committed; see
+/// docs/durability.md).
 
 /// One fit request. The Problem's non-owning pointers (data, loss,
 /// constraint) must stay valid until the job completes -- the Engine copies
@@ -123,6 +127,19 @@ struct FitJob {
   /// an Engine configured with Options::budgets and a tenant registered
   /// there; violations surface as the job's typed error Status.
   std::string tenant;
+
+  /// Called once the job has completed, whatever the outcome:
+  /// - exactly once per job, on the thread that completed it -- an Engine
+  ///   worker, or the caller of Submit(), JobHandle::Cancel() or Shutdown()
+  ///   for jobs completed there (Submit's inline rejections run it before
+  ///   Submit returns);
+  /// - after JobHandle::done() is true, with no Engine or job lock held
+  ///   (it may call stats(), done() or Wait() on its own job);
+  /// - it must not block or throw: a worker runs it before it pops the
+  ///   next job.
+  /// Shutdown() returns only after every hook run by a worker or by
+  /// Shutdown itself has returned. Empty = none.
+  std::function<void()> on_complete;
 };
 
 namespace engine_internal {

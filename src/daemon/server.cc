@@ -108,14 +108,11 @@ StatusOr<std::unique_ptr<Server>> Server::Create(ServerOptions options) {
 }
 
 Server::~Server() {
-  // The loop has exited by now; waiter threads were joined in FinishJob,
-  // except for jobs that never completed processing (hard teardown paths).
-  for (auto& [id, job] : jobs_) {
-    if (job.waiter.joinable()) {
-      job.handle.Cancel();
-      job.waiter.join();
-    }
-  }
+  // The loop has exited by now. Stop any fit still running, then shut the
+  // Engine down before the loop and the completion queue its hooks touch
+  // are destroyed: Shutdown() returns only after every hook has returned.
+  for (auto& [id, job] : jobs_) job.handle.Cancel();
+  engine_->Shutdown();
 }
 
 Status Server::Run() {
@@ -275,6 +272,11 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
     return;
   }
 
+  // The id is taken before Submit so the completion hook can carry it. The
+  // hook runs on an Engine worker (or inline, inside Submit) and only queues
+  // the id and wakes the loop; the loop handles it after this handler has
+  // returned, so jobs_[id] below is always in place by then.
+  const std::uint64_t id = next_job_id_++;
   FitJob fit;
   fit.solver_name = request.solver;
   fit.problem = holder.value()->problem();
@@ -283,18 +285,24 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
   fit.deadline_seconds = request.deadline_seconds;
   fit.tag = request.tag;
   fit.tenant = request.tenant;
+  fit.on_complete = [this, id] {
+    {
+      const std::lock_guard<std::mutex> lock(completed_mu_);
+      completed_.push_back(id);
+    }
+    loop_->Wake();
+  };
   JobHandle handle = engine_->Submit(std::move(fit));
 
   if (handle.done() && !handle.Wait().ok()) {
     // Inline rejection -- unknown solver, malformed spec, or the acceptance
     // contract's headline case: an over-budget tenant, refused at the
     // socket with the BUDGET_EXHAUSTED wire code before any worker or any
-    // data was touched.
+    // data was touched. The id its hook queued matches no job.
     SendError(fd, handle.Wait().status(), 0);
     return;
   }
 
-  const std::uint64_t id = next_job_id_++;
   Job& job = jobs_[id];
   job.handle = handle;
   job.holder = std::move(holder).value();
@@ -306,18 +314,6 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
   net::WireWriter writer;
   EncodeSubmitOk(writer, net::SubmitOk{id});
   SendFrame(fd, net::FrameType::kSubmitOk, writer);
-
-  net::EventLoop* loop = loop_.get();
-  std::mutex* mu = &completed_mu_;
-  std::vector<std::uint64_t>* completed = &completed_;
-  job.waiter = std::thread([handle, id, loop, mu, completed] {
-    handle.Wait();
-    {
-      std::lock_guard<std::mutex> lock(*mu);
-      completed->push_back(id);
-    }
-    loop->Wake();
-  });
 }
 
 void Server::HandlePoll(int fd, const net::Frame& frame) {
@@ -508,7 +504,6 @@ void Server::FinishJob(std::uint64_t id) {
   if (job.completed) return;
   job.completed = true;
   --inflight_;
-  if (job.waiter.joinable()) job.waiter.join();
 
   if (job.stream && job.origin_fd >= 0) {
     SendJobState(job.origin_fd, id, job);

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/budget_manager.h"
@@ -28,11 +27,12 @@ namespace daemon {
 ///
 /// One Server is one listening socket, one Engine, and one poll(2) loop
 /// thread that owns every connection and every job record. Engine workers
-/// never touch sockets: each submitted job gets a tiny waiter thread that
-/// blocks on JobHandle::Wait() and then wakes the loop through the
-/// EventLoop's signal-safe pipe, so frame writing happens on exactly one
-/// thread and the determinism contract is untouched -- a remote fit returns
-/// the same bits as an in-process TryFit at the same seed.
+/// never touch sockets, and no thread is started per request: each job's
+/// FitJob::on_complete hook, run by the worker that finished it, queues the
+/// job id and wakes the loop through the EventLoop's signal-safe pipe. So
+/// frame writing happens on exactly one thread and the determinism contract
+/// is untouched -- a remote fit returns the same bits as an in-process
+/// TryFit at the same seed.
 ///
 /// Tenant budgets are enforced AT THE SOCKET: the Engine completes an
 /// over-budget submission inline (api/engine.h), and the server translates
@@ -149,7 +149,6 @@ class Server {
     bool stream = false;
     bool completed = false;
     std::vector<int> parked;  // fds whose deliver-POLL awaits completion
-    std::thread waiter;
   };
 
   explicit Server(ServerOptions options);
@@ -197,7 +196,7 @@ class Server {
   std::size_t inflight_ = 0;  // submitted, completion not yet processed
   bool draining_ = false;
 
-  // Cross-thread completion queue (waiter threads -> loop thread).
+  // Cross-thread completion queue (completion hooks -> loop thread).
   std::mutex completed_mu_;
   std::vector<std::uint64_t> completed_;
 

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -916,6 +918,334 @@ TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
   const StatusOr<PrivacyBudget> remaining = budgets.Remaining("flood");
   ASSERT_TRUE(remaining.ok());
   EXPECT_NEAR(remaining->epsilon, 8.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Completion: every path that finishes a job counts it once -- in
+// EngineStats and in the htdp_engine_jobs_*_total counters alike -- and
+// closes its tenant reservation: committed when the fit ran, aborted when
+// it provably released nothing.
+// ---------------------------------------------------------------------------
+
+/// The per-outcome job counters, read from EngineStats or from the exported
+/// htdp_engine_jobs_*_total counters (`shed` is EngineStats'
+/// unavailable_rejected).
+struct JobCounts {
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  std::size_t succeeded = 0;
+  std::size_t failed = 0;
+  std::size_t cancelled = 0;
+  std::size_t deadline_exceeded = 0;
+  std::size_t budget_rejected = 0;
+  std::size_t shed = 0;
+  std::size_t shed_expired = 0;
+
+  static JobCounts Of(const EngineStats& s) {
+    return {s.submitted,       s.completed,
+            s.succeeded,       s.failed,
+            s.cancelled,       s.deadline_exceeded,
+            s.budget_rejected, s.unavailable_rejected,
+            s.shed_expired};
+  }
+  static JobCounts Exported() {
+    const auto value = [](const std::string& outcome) {
+      return static_cast<std::size_t>(
+          obs::MetricRegistry::Global()
+              .GetCounter("htdp_engine_jobs_" + outcome + "_total", "")
+              ->Value());
+    };
+    return {value("submitted"), value("completed"),
+            value("succeeded"), value("failed"),
+            value("cancelled"), value("deadline_exceeded"),
+            value("budget_rejected"), value("shed"),
+            value("shed_expired")};
+  }
+  JobCounts operator-(const JobCounts& o) const {
+    return {submitted - o.submitted,
+            completed - o.completed,
+            succeeded - o.succeeded,
+            failed - o.failed,
+            cancelled - o.cancelled,
+            deadline_exceeded - o.deadline_exceeded,
+            budget_rejected - o.budget_rejected,
+            shed - o.shed,
+            shed_expired - o.shed_expired};
+  }
+  bool operator==(const JobCounts&) const = default;
+};
+
+void PrintTo(const JobCounts& c, std::ostream* os) {
+  *os << "{submitted " << c.submitted << ", completed " << c.completed
+      << ", succeeded " << c.succeeded << ", failed " << c.failed
+      << ", cancelled " << c.cancelled << ", deadline_exceeded "
+      << c.deadline_exceeded << ", budget_rejected " << c.budget_rejected
+      << ", shed " << c.shed << ", shed_expired " << c.shed_expired << "}";
+}
+
+/// How a completion path must close the job's tenant reservation.
+enum class Close { kNone, kCommit, kAbort };
+
+/// One single-worker Engine over a BudgetManager funding tenant "t", for
+/// driving one completion path.
+struct CompletionRig {
+  static Engine::Options WithBudgets(Engine::Options options,
+                                     BudgetManager* budgets) {
+    options.workers = 1;
+    options.budgets = budgets;
+    return options;
+  }
+
+  CompletionRig(const SharedWorkload& w, const Engine::Options& caps)
+      : workload(w), engine(WithBudgets(caps, &budgets)) {}
+  ~CompletionRig() { Finish(); }
+
+  /// Parks the only worker inside an untenanted job.
+  void ParkWorker() {
+    FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 1);
+    blocker.spec.should_stop = gate.Hook();
+    others.push_back(engine.Submit(std::move(blocker)));
+    gate.AwaitReached();
+  }
+
+  /// Queues one job behind the parked worker.
+  void QueueFiller(const std::string& tenant) {
+    FitJob filler = workload.JobFor(kSolverAlg2PrivateLasso, 2);
+    filler.tenant = tenant;
+    others.push_back(engine.Submit(std::move(filler)));
+  }
+
+  /// The job under test: an alg2 fit charging (1, 1e-5) to tenant "t",
+  /// whose completion hook records what it saw.
+  FitJob Target() {
+    FitJob job = workload.JobFor(kSolverAlg2PrivateLasso, 3);
+    job.tenant = "t";
+    job.on_complete = [this] {
+      // stats() takes the engine mutex: it returns only if the hook runs
+      // with no engine lock held.
+      hook.completed_inside = engine.stats().completed;
+      if (hook.handle_known.load(std::memory_order_acquire)) {
+        hook.done_inside = hook.handle.done() ? 1 : 0;
+      }
+      ++hook.calls;
+    };
+    return job;
+  }
+
+  /// Submits the target and hands its handle to the hook.
+  JobHandle Submit(FitJob job) {
+    JobHandle handle = engine.Submit(std::move(job));
+    hook.handle = handle;
+    hook.handle_known.store(true, std::memory_order_release);
+    return handle;
+  }
+
+  /// Releases the worker and shuts the engine down. Idempotent.
+  void Finish() {
+    gate.release.store(true);
+    if (stopper.joinable()) stopper.join();
+    for (const JobHandle& other : others) (void)other.Wait();
+    engine.Shutdown();
+  }
+
+  /// What the target's completion hook saw. The handle is published
+  /// after Submit returns; a hook that ran inside Submit (inline
+  /// completion) leaves done_inside at -1.
+  struct HookProbe {
+    std::atomic<int> calls{0};
+    std::atomic<std::size_t> completed_inside{0};
+    std::atomic<int> done_inside{-1};
+    std::atomic<bool> handle_known{false};
+    JobHandle handle;
+  };
+
+  const SharedWorkload& workload;
+  HookProbe hook;
+  BudgetManager budgets;
+  WorkerGate gate;
+  Engine engine;
+  std::vector<JobHandle> others;  // blocker and fillers
+  std::thread stopper;            // runs Shutdown() for the sweep path
+};
+
+struct CompletionPath {
+  std::string name;
+  Engine::Options caps;
+  std::function<void(CompletionRig&)> setup;
+  /// Submits the rig's Target() (possibly altered) and drives it to
+  /// completion; the returned handle is done().
+  std::function<JobHandle(CompletionRig&, FitJob)> complete;
+  JobCounts delta;
+  Close close;
+};
+
+TEST(EngineCompletionTest,
+     EveryCompletionPathCountsOnceAndClosesItsReservation) {
+  const SharedWorkload workload;
+  const auto none = [](CompletionRig&) {};
+  const auto park = [](CompletionRig& rig) { rig.ParkWorker(); };
+  const auto submit = [](CompletionRig& rig, FitJob job) {
+    JobHandle handle = rig.Submit(std::move(job));
+    (void)handle.Wait();
+    return handle;
+  };
+  Engine::Options queue_cap;
+  queue_cap.max_queue_depth = 1;
+  Engine::Options tenant_cap;
+  tenant_cap.max_inflight_per_tenant = 1;
+
+  const std::vector<CompletionPath> paths = {
+      {"Submit: unknown solver", {}, none,
+       [&](CompletionRig& rig, FitJob job) {
+         job.solver_name = "no_such_solver";
+         return submit(rig, std::move(job));
+       },
+       {.submitted = 1, .completed = 1, .failed = 1}, Close::kNone},
+      {"Submit: reservation refused (budget)", {}, none,
+       [&](CompletionRig& rig, FitJob job) {
+         job.spec.budget = PrivacyBudget::Approx(100.0, 1e-5);
+         return submit(rig, std::move(job));
+       },
+       {.submitted = 1, .completed = 1, .failed = 1, .budget_rejected = 1},
+       Close::kNone},
+      {"Submit: reservation refused (unknown tenant)", {}, none,
+       [&](CompletionRig& rig, FitJob job) {
+         job.tenant = "nobody";
+         return submit(rig, std::move(job));
+       },
+       {.submitted = 1, .completed = 1, .failed = 1}, Close::kNone},
+      {"Submit: after Shutdown", {},
+       [](CompletionRig& rig) { rig.engine.Shutdown(); }, submit,
+       {.submitted = 1, .completed = 1, .cancelled = 1}, Close::kAbort},
+      {"Submit: shed by the queue cap", queue_cap,
+       [](CompletionRig& rig) {
+         rig.ParkWorker();
+         rig.QueueFiller("");
+       },
+       submit, {.submitted = 1, .completed = 1, .failed = 1, .shed = 1},
+       Close::kAbort},
+      {"Submit: shed by the tenant inflight cap", tenant_cap,
+       [](CompletionRig& rig) {
+         rig.ParkWorker();
+         rig.QueueFiller("t");
+       },
+       submit, {.submitted = 1, .completed = 1, .failed = 1, .shed = 1},
+       Close::kAbort},
+      {"Cancel: queued job", {}, park,
+       [](CompletionRig& rig, FitJob job) {
+         JobHandle handle = rig.Submit(std::move(job));
+         handle.Cancel();
+         return handle;
+       },
+       {.submitted = 1, .completed = 1, .cancelled = 1}, Close::kAbort},
+      // The blocker completes first on the single worker, so it is in this
+      // row's delta as the one success.
+      {"WorkerMain: deadline expired while queued", {}, park,
+       [](CompletionRig& rig, FitJob job) {
+         job.deadline_seconds = 1e-4;
+         JobHandle handle = rig.Submit(std::move(job));
+         std::this_thread::sleep_for(std::chrono::milliseconds(10));
+         rig.gate.release.store(true);
+         (void)handle.Wait();
+         return handle;
+       },
+       {.submitted = 1, .completed = 2, .succeeded = 1,
+        .deadline_exceeded = 1, .shed_expired = 1},
+       Close::kAbort},
+      {"RunJob: succeeded", {}, none, submit,
+       {.submitted = 1, .completed = 1, .succeeded = 1}, Close::kCommit},
+      {"RunJob: solver validation failure", {}, none,
+       [&](CompletionRig& rig, FitJob job) {
+         job.problem.constraint = nullptr;  // alg2 requires a constraint
+         return submit(rig, std::move(job));
+       },
+       {.submitted = 1, .completed = 1, .failed = 1}, Close::kAbort},
+      {"RunJob: cancelled mid-fit", {}, none,
+       [](CompletionRig& rig, FitJob job) {
+         job.spec.iterations = 20;
+         job.spec.should_stop = rig.gate.Hook();
+         JobHandle handle = rig.Submit(std::move(job));
+         rig.gate.AwaitReached();  // first poll: the fit is running
+         handle.Cancel();
+         rig.gate.release.store(true);
+         (void)handle.Wait();
+         return handle;
+       },
+       {.submitted = 1, .completed = 1, .cancelled = 1}, Close::kCommit},
+      {"RunJob: deadline passed mid-fit", {}, none,
+       [](CompletionRig& rig, FitJob job) {
+         job.spec.iterations = 20;
+         job.spec.should_stop = rig.gate.Hook();
+         job.deadline_seconds = 0.3;
+         JobHandle handle = rig.Submit(std::move(job));
+         rig.gate.AwaitReached();  // first poll: the fit is running
+         std::this_thread::sleep_for(std::chrono::milliseconds(400));
+         rig.gate.release.store(true);
+         (void)handle.Wait();
+         return handle;
+       },
+       {.submitted = 1, .completed = 1, .deadline_exceeded = 1},
+       Close::kCommit},
+      {"Shutdown: queued job swept", {}, park,
+       [](CompletionRig& rig, FitJob job) {
+         JobHandle handle = rig.Submit(std::move(job));
+         // Shutdown sweeps the queue, then blocks joining the parked
+         // worker until Finish() releases it.
+         rig.stopper = std::thread([&rig] { rig.engine.Shutdown(); });
+         while (!handle.done()) {
+           std::this_thread::sleep_for(std::chrono::milliseconds(1));
+         }
+         return handle;
+       },
+       {.submitted = 1, .completed = 1, .cancelled = 1}, Close::kAbort},
+  };
+
+  for (const CompletionPath& path : paths) {
+    SCOPED_TRACE(path.name);
+    CompletionRig rig(workload, path.caps);
+    ASSERT_TRUE(
+        rig.budgets.RegisterTenant("t", PrivacyBudget::Approx(10.0, 1e-3))
+            .ok());
+    path.setup(rig);
+
+    const JobCounts stats_before = JobCounts::Of(rig.engine.stats());
+    const JobCounts exported_before = JobCounts::Exported();
+    const BudgetManager::LedgerTotals totals_before = rig.budgets.Totals();
+    const BudgetManager::TenantStats tenant_before =
+        rig.budgets.Stats("t").value();
+
+    const JobHandle handle = path.complete(rig, rig.Target());
+    ASSERT_TRUE(handle.done());
+    // stats() first: it takes the engine mutex, so every counter the
+    // completion bumped inside its critical section is visible after it.
+    const JobCounts stats_delta =
+        JobCounts::Of(rig.engine.stats()) - stats_before;
+    const JobCounts exported_delta = JobCounts::Exported() - exported_before;
+    const BudgetManager::LedgerTotals totals = rig.budgets.Totals();
+    const BudgetManager::TenantStats tenant = rig.budgets.Stats("t").value();
+
+    EXPECT_EQ(stats_delta, path.delta);
+    EXPECT_EQ(exported_delta, path.delta);
+    const std::size_t opened = path.close == Close::kNone ? 0 : 1;
+    EXPECT_EQ(totals.reserves - totals_before.reserves, opened);
+    EXPECT_EQ(totals.commits - totals_before.commits,
+              path.close == Close::kCommit ? 1u : 0u);
+    EXPECT_EQ(totals.aborts - totals_before.aborts,
+              path.close == Close::kAbort ? 1u : 0u);
+    EXPECT_EQ(totals.open, totals_before.open);  // the target's is closed
+    EXPECT_EQ(tenant.refunded - tenant_before.refunded,
+              path.close == Close::kAbort ? 1u : 0u);
+    EXPECT_NEAR(tenant.spent.epsilon - tenant_before.spent.epsilon,
+                path.close == Close::kCommit ? 1.0 : 0.0, 1e-12);
+
+    rig.Finish();
+    EXPECT_EQ(rig.budgets.OpenReservations(), 0u);
+    // The hook ran once, after the job was counted and published.
+    EXPECT_EQ(rig.hook.calls.load(), 1);
+    EXPECT_EQ(rig.hook.completed_inside.load(),
+              stats_before.completed + path.delta.completed);
+    EXPECT_NE(rig.hook.done_inside.load(), 0);
+  }
 }
 
 TEST(EngineScenarioTest, EngineSweepMatchesSequentialRunTrials) {

@@ -12,13 +12,14 @@
 //   * the drain state machine (signal bookkeeping included) empties the
 //     daemon and returns from Run().
 //
-// CI also runs this suite under TSan: the loop thread, the per-job waiter
-// threads and concurrent clients must be race-free.
+// CI also runs this suite under TSan: the loop thread, the completion hooks
+// run on Engine workers and concurrent clients must be race-free.
 
 #include "daemon/server.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -381,6 +382,62 @@ TEST(NetLoopback, QueuedJobCancelsWithTypedStatus) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
 
   // The heavy job is unaffected.
+  EXPECT_TRUE(client->WaitResult(running.value()).ok());
+}
+
+/// Threads in this process right now, or -1 when /proc/self/task is
+/// unreadable.
+long ThreadCount() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  long count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(error)) {
+    if (error) return -1;
+    ++count;
+  }
+  return count;
+}
+
+TEST(NetLoopback, QueuedSubmitsStartNoThreads) {
+  if (ThreadCount() < 0) GTEST_SKIP() << "/proc/self/task is unreadable";
+  daemon::ServerOptions options;
+  options.engine_workers = 1;
+  TestServer server(std::move(options));
+  auto client = server.Connect();
+
+  // Warm up: the first fit starts every thread a fit needs (the engine
+  // worker's compute pool included).
+  auto warm = client->Submit(TestSubmit(30));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(client->WaitResult(warm.value()).ok());
+
+  // A heavy job holds the single worker, so the next 16 stay queued.
+  net::SubmitRequest heavy = TestSubmit(31);
+  heavy.problem = TestProblem(8000, 30);
+  heavy.spec.iterations = 1000;
+  heavy.spec.record_risk_trace = true;
+  auto running = client->Submit(heavy);
+  ASSERT_TRUE(running.ok());
+  const long before = ThreadCount();
+
+  std::vector<std::uint64_t> queued;
+  for (std::uint64_t seed = 32; seed < 48; ++seed) {
+    auto id = client->Submit(TestSubmit(seed));
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    queued.push_back(id.value());
+  }
+  const long after = ThreadCount();
+  EXPECT_LT(after - before, 16) << before << " threads before the submits, "
+                                << after << " after";
+
+  for (std::uint64_t id : queued) ASSERT_TRUE(client->Cancel(id).ok());
+  for (std::uint64_t id : queued) {
+    auto outcome = client->WaitResult(id);
+    if (!outcome.ok()) {
+      EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
+    }
+  }
   EXPECT_TRUE(client->WaitResult(running.value()).ok());
 }
 
