@@ -169,9 +169,7 @@ struct JobRecord {
   bool charged = false;
   BudgetManager::ReservationId reservation = 0;
 
-  /// Set by the worker that pops the job (under the engine mutex) and by
-  /// RunJob just before TryFit. Read only by the completing path.
-  bool claimed = false;
+  /// Set by RunJob just before TryFit. Read only by the completing path.
   bool fit_ran = false;
 
   /// True while the job counts against its tenant's inflight cap. Guarded
@@ -237,7 +235,8 @@ bool ReleasedNothing(const Status& status) {
 
 /// Completes `record` -- the only function that publishes a job's result.
 /// `lock` is on engine.mu: held by callers that just took the record out of
-/// the queue (or never queued it), free on the worker path. In order:
+/// the queue (or never queued it), free exactly when a worker completes a
+/// job it claimed (RunJob). In order:
 ///  1. closes the tenant reservation: Commit when a worker ran TryFit and
 ///     the status does not prove that nothing was released, Abort
 ///     otherwise. The worker closes it (and observes the claimed job's
@@ -248,6 +247,7 @@ bool ReleasedNothing(const Status& status) {
 ///  3. after unlocking, wakes Drain() and runs FitJob::on_complete.
 void Complete(EngineShared& engine, std::unique_lock<std::mutex>& lock,
               JobRecord& record, Outcome outcome, StatusOr<FitResult> result) {
+  const bool claimed = !lock.owns_lock();
   if (record.charged && engine.budgets != nullptr) {
     if (record.fit_ran && !ReleasedNothing(result.status())) {
       (void)engine.budgets->Commit(record.reservation);
@@ -256,12 +256,12 @@ void Complete(EngineShared& engine, std::unique_lock<std::mutex>& lock,
     }
     record.charged = false;
   }
-  if (record.claimed) {
+  if (claimed) {
     ObserveFitLatency(
         record.job.tenant,
         static_cast<double>(obs::NowNanos() - record.submit_ns) * 1e-9);
   }
-  if (!lock.owns_lock()) lock.lock();
+  if (claimed) lock.lock();
 
   // The exported counters move before the publish: a client that sees its
   // result and immediately scrapes METRICS finds the job already counted.
@@ -275,7 +275,7 @@ void Complete(EngineShared& engine, std::unique_lock<std::mutex>& lock,
   for (obs::Counter* EngineMetrics::* counter : row.exported) {
     if (counter != nullptr) (met.*counter)->Increment();
   }
-  if (record.claimed) {
+  if (claimed) {
     --engine.running;
     met.running->Set(static_cast<double>(engine.running));
   }
@@ -529,8 +529,7 @@ void Engine::WorkerMain() {
                      " deadline expired while queued; shed"));
         continue;
       }
-      record->claimed = true;  // no other path can complete it now
-      ++state_->running;
+      ++state_->running;  // claimed: no other path can complete it now
       engine_internal::Met().running->Set(
           static_cast<double>(state_->running));
     }

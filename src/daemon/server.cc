@@ -111,8 +111,10 @@ Server::~Server() {
   // The loop has exited by now. Stop any fit still running, then shut the
   // Engine down before the loop and the completion queue its hooks touch
   // are destroyed: Shutdown() returns only after every hook has returned.
+  // A Create() that failed before making the Engine destroys a Server
+  // without one (and without jobs).
   for (auto& [id, job] : jobs_) job.handle.Cancel();
-  engine_->Shutdown();
+  if (engine_ != nullptr) engine_->Shutdown();
 }
 
 Status Server::Run() {

@@ -406,11 +406,16 @@ TEST(NetLoopback, QueuedSubmitsStartNoThreads) {
   TestServer server(std::move(options));
   auto client = server.Connect();
 
-  // Warm up: the first fit starts every thread a fit needs (the engine
-  // worker's compute pool included).
-  auto warm = client->Submit(TestSubmit(30));
+  // Warm up: a short fit of the heavy job's shape starts every thread a
+  // fit needs, the engine worker's compute pool included (a fit of the
+  // smaller TestProblem() does not start the pool).
+  net::SubmitRequest warm_request = TestSubmit(30);
+  warm_request.problem = TestProblem(8000, 30);
+  warm_request.spec.iterations = 2;
+  auto warm = client->Submit(warm_request);
   ASSERT_TRUE(warm.ok());
   ASSERT_TRUE(client->WaitResult(warm.value()).ok());
+  const long before = ThreadCount();
 
   // A heavy job holds the single worker, so the next 16 stay queued.
   net::SubmitRequest heavy = TestSubmit(31);
@@ -419,7 +424,6 @@ TEST(NetLoopback, QueuedSubmitsStartNoThreads) {
   heavy.spec.record_risk_trace = true;
   auto running = client->Submit(heavy);
   ASSERT_TRUE(running.ok());
-  const long before = ThreadCount();
 
   std::vector<std::uint64_t> queued;
   for (std::uint64_t seed = 32; seed < 48; ++seed) {
@@ -428,8 +432,9 @@ TEST(NetLoopback, QueuedSubmitsStartNoThreads) {
     queued.push_back(id.value());
   }
   const long after = ThreadCount();
-  EXPECT_LT(after - before, 16) << before << " threads before the submits, "
-                                << after << " after";
+  // No thread per SUBMIT: the count stays put (one thread of slack).
+  EXPECT_LE(after - before, 1) << before << " threads before the 17 submits, "
+                               << after << " after";
 
   for (std::uint64_t id : queued) ASSERT_TRUE(client->Cancel(id).ok());
   for (std::uint64_t id : queued) {
@@ -642,6 +647,26 @@ TEST(NetLoopback, OversizedReplyIsATypedErrorAndTheDaemonKeepsServing) {
   auto refused = daemon::Server::Create(std::move(tiny));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidProblem);
+}
+
+TEST(NetLoopback, CreateFailuresAfterTheServerExistsAreTypedErrors) {
+  // Both steps fail after Create() has built the Server object but before
+  // it made the Engine; the half-built Server is destroyed on the way out.
+  daemon::ServerOptions duplicate;
+  duplicate.tenants = {{"acme", PrivacyBudget::Pure(1.0)},
+                       {"acme", PrivacyBudget::Pure(2.0)}};
+  auto refused = daemon::Server::Create(std::move(duplicate));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidProblem);
+
+  TestServer bound;
+  daemon::ServerOptions same_port;
+  same_port.port = bound.port();
+  auto in_use = daemon::Server::Create(std::move(same_port));
+  ASSERT_FALSE(in_use.ok());
+  EXPECT_NE(std::string(in_use.status().message()).find("bind"),
+            std::string::npos)
+      << in_use.status().message();
 }
 
 TEST(NetLoopback, MetricsRequestWithUnknownFormatIsATypedError) {
